@@ -1155,8 +1155,7 @@ pub mod shardbench {
         if let Some(config) = admission {
             server.configure_admission(config);
         }
-        let mut fe =
-            Frontend::new(server, driver_threads, DriveMode::Continuous).expect("sharded plane");
+        let mut fe = Frontend::new(server, driver_threads, DriveMode::Continuous);
         fe.set_linger(linger);
         assert!(fe.boot().unwrap());
         let ids: Vec<ClientId> = (1..=cfg.clients).map(ClientId).collect();

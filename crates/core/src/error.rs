@@ -143,6 +143,14 @@ pub enum LcmError {
     Tee(String),
     /// Underlying storage failure.
     Storage(String),
+    /// A control-plane call addressed a `(shard, replica)` member the
+    /// deployment does not have.
+    NoSuchMember {
+        /// The addressed shard.
+        shard: u32,
+        /// The addressed replica within that shard's group.
+        replica: u32,
+    },
 }
 
 impl fmt::Display for LcmError {
@@ -158,6 +166,12 @@ impl fmt::Display for LcmError {
             LcmError::Codec(e) => write!(f, "codec failure: {e}"),
             LcmError::Tee(e) => write!(f, "TEE failure: {e}"),
             LcmError::Storage(e) => write!(f, "storage failure: {e}"),
+            LcmError::NoSuchMember { shard, replica } => {
+                write!(
+                    f,
+                    "no member (shard {shard}, replica {replica}) in this deployment"
+                )
+            }
         }
     }
 }

@@ -9,7 +9,7 @@
 //! ```text
 //!            stage 1 — intake          stage 2 — execution        stage 3 — persistence
 //!   clients ──────────────────▶ queue ────────────────────▶ seal ──────────────────────▶ disk
-//!            transport::Hub            enclave ecall              background writer
+//!            submit()                  enclave ecall              background writer
 //!            (caller thread)           (caller thread)            (StageWorker thread)
 //! ```
 //!
@@ -52,7 +52,7 @@ use lcm_storage::StableStorage;
 
 use crate::context::PersistBlobs;
 use crate::functionality::Functionality;
-use crate::server::{BatchServer, LcmServer, SLOT_KEY_BLOB, SLOT_STATE_BLOB};
+use crate::server::{solo_member, BatchServer, LcmServer, SLOT_KEY_BLOB, SLOT_STATE_BLOB};
 use crate::types::ClientId;
 use crate::{LcmError, Result};
 
@@ -293,15 +293,24 @@ impl<F: Functionality> BatchServer for PipelinedServer<F> {
     fn is_running(&self) -> bool {
         self.inner.is_running()
     }
-    fn provision(&mut self, sealed_payload: Vec<u8>) -> Result<()> {
-        self.flush()?;
-        self.inner.provision(sealed_payload)
-    }
-    fn attest(
+    fn attest_member(
         &mut self,
+        shard: u32,
+        replica: u32,
         user_data: lcm_crypto::sha256::Digest,
     ) -> Result<lcm_tee::attestation::Quote> {
+        solo_member(shard, replica)?;
         self.inner.attest(user_data)
+    }
+    fn provision_member(
+        &mut self,
+        shard: u32,
+        replica: u32,
+        sealed_payload: Vec<u8>,
+    ) -> Result<()> {
+        solo_member(shard, replica)?;
+        self.flush()?;
+        self.inner.provision(sealed_payload)
     }
     fn submit(&mut self, invoke_wire: Vec<u8>) {
         self.inner.submit(invoke_wire);
@@ -347,18 +356,13 @@ impl<F: Functionality> BatchServer for PipelinedServer<F> {
         self.inner.apply_replica(state_blob)
     }
     fn kill_member(&mut self, shard: u32, replica: u32, power_failure: bool) -> Result<()> {
-        if shard == 0 && replica == 0 {
-            if power_failure {
-                self.crash_power_failure();
-            } else {
-                self.crash();
-            }
-            Ok(())
+        solo_member(shard, replica)?;
+        if power_failure {
+            self.crash_power_failure();
         } else {
-            Err(LcmError::Tee(format!(
-                "kill_member(shard {shard}, replica {replica}) on a single-enclave server"
-            )))
+            self.crash();
         }
+        Ok(())
     }
     fn import_migration_as(&mut self, ticket: Vec<u8>, replica: u32, replicas: u32) -> Result<()> {
         self.flush()?;

@@ -183,13 +183,13 @@ impl ReplicaGroup {
         self.leader
     }
 
-    fn member(&self, replica: u32) -> Result<&Member> {
-        self.members.get(replica as usize).ok_or_else(|| {
-            LcmError::Tee(format!(
-                "replica {replica} out of range (group of {})",
-                self.members.len()
-            ))
-        })
+    /// The member at `(shard, replica)`; a group is one shard, so any
+    /// `shard` other than 0 is out of range.
+    fn member(&self, shard: u32, replica: u32) -> Result<&Member> {
+        self.members
+            .get(replica as usize)
+            .filter(|_| shard == 0)
+            .ok_or(LcmError::NoSuchMember { shard, replica })
     }
 
     fn lock(
@@ -334,14 +334,6 @@ impl BatchServer for ReplicaGroup {
             && Self::lock(&self.members[self.leader].server).is_running()
     }
 
-    fn provision(&mut self, sealed_payload: Vec<u8>) -> Result<()> {
-        self.provision_member(0, 0, sealed_payload)
-    }
-
-    fn attest(&mut self, user_data: Digest) -> Result<Quote> {
-        self.attest_member(0, 0, user_data)
-    }
-
     fn replica_count(&self) -> u32 {
         self.members.len() as u32
     }
@@ -352,13 +344,8 @@ impl BatchServer for ReplicaGroup {
     }
 
     fn attest_member(&mut self, shard: u32, replica: u32, user_data: Digest) -> Result<Quote> {
-        if shard != 0 {
-            return Err(LcmError::Tee(format!(
-                "attest_member(shard {shard}) on a single replica group"
-            )));
-        }
-        let server = Arc::clone(&self.member(replica)?.server);
-        let quote = Self::lock(&server).attest(user_data);
+        let server = Arc::clone(&self.member(shard, replica)?.server);
+        let quote = Self::lock(&server).attest_member(0, 0, user_data);
         quote
     }
 
@@ -368,23 +355,13 @@ impl BatchServer for ReplicaGroup {
         replica: u32,
         sealed_payload: Vec<u8>,
     ) -> Result<()> {
-        if shard != 0 {
-            return Err(LcmError::Tee(format!(
-                "provision_member(shard {shard}) on a single replica group"
-            )));
-        }
-        let server = Arc::clone(&self.member(replica)?.server);
-        let outcome = Self::lock(&server).provision(sealed_payload);
+        let server = Arc::clone(&self.member(shard, replica)?.server);
+        let outcome = Self::lock(&server).provision_member(0, 0, sealed_payload);
         outcome
     }
 
     fn kill_member(&mut self, shard: u32, replica: u32, power_failure: bool) -> Result<()> {
-        if shard != 0 {
-            return Err(LcmError::Tee(format!(
-                "kill_member(shard {shard}) on a single replica group"
-            )));
-        }
-        let member = self.member(replica)?;
+        let member = self.member(shard, replica)?;
         let server = Arc::clone(&member.server);
         Self::lock(&server).kill_member(0, 0, power_failure)?;
         let member = &mut self.members[replica as usize];
@@ -404,12 +381,7 @@ impl BatchServer for ReplicaGroup {
     }
 
     fn reboot_member(&mut self, shard: u32, replica: u32) -> Result<bool> {
-        if shard != 0 {
-            return Err(LcmError::Tee(format!(
-                "reboot_member(shard {shard}) on a single replica group"
-            )));
-        }
-        let member = self.member(replica)?;
+        let member = self.member(shard, replica)?;
         let server = Arc::clone(&member.server);
         let fresh = Self::lock(&server).boot()?;
         let idx = replica as usize;
@@ -532,7 +504,7 @@ impl BatchServer for ReplicaGroup {
                 self.members.len()
             )));
         }
-        let member = self.member(replica)?;
+        let member = self.member(0, replica)?;
         Self::lock(&member.server).import_migration_as(ticket, replica, replicas)
     }
 
@@ -603,7 +575,7 @@ impl BatchServer for ReplicaGroup {
                 "read wire too short for a routing hint".into(),
             ));
         };
-        let member = self.member(hint.replica)?;
+        let member = self.member(0, hint.replica)?;
         let server = Arc::clone(&member.server);
         let reply = Self::lock(&server).serve_read(read_wire);
         reply

@@ -476,8 +476,8 @@ fn unexpected(reply: HostReply) -> LcmError {
 }
 
 /// The host-server surface the rest of the stack programs against:
-/// everything a client library, admin handle, transport hub, or test
-/// scenario needs, independent of whether persistence is synchronous
+/// everything a client library, admin handle, transport front-end, or
+/// test scenario needs, independent of whether persistence is synchronous
 /// ([`LcmServer`]) or pipelined onto a background writer
 /// ([`crate::pipeline::PipelinedServer`]).
 ///
@@ -501,63 +501,12 @@ pub trait BatchServer: Send {
     /// Whether the enclave is currently running.
     fn is_running(&self) -> bool;
 
-    /// Forwards the admin's provisioning payload. See
-    /// [`LcmServer::provision`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates context errors.
-    fn provision(&mut self, sealed_payload: Vec<u8>) -> Result<()>;
-
-    /// Produces an attestation quote over `user_data`. See
-    /// [`LcmServer::attest`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates TEE errors.
-    fn attest(&mut self, user_data: Digest) -> Result<Quote>;
-
     /// Number of enclave shards behind this server: 1 for the
     /// single-enclave servers, N for the sharded fan-out
     /// ([`crate::shard::ShardedServer`]). Drives the admin's per-shard
     /// provisioning and whole-deployment attestation.
     fn shard_count(&self) -> u32 {
         1
-    }
-
-    /// Produces an attestation quote from shard `shard`'s enclave —
-    /// the admin attests *every* member of a deployment, not a
-    /// representative.
-    ///
-    /// # Errors
-    ///
-    /// Propagates TEE errors; `shard` out of range is an error.
-    fn attest_shard(&mut self, shard: u32, user_data: Digest) -> Result<Quote> {
-        if shard == 0 {
-            self.attest(user_data)
-        } else {
-            Err(LcmError::Tee(format!(
-                "attest_shard({shard}) on a single-enclave server"
-            )))
-        }
-    }
-
-    /// Delivers the admin's sealed provisioning payload to shard
-    /// `shard`'s enclave. Each shard of a deployment receives its own
-    /// payload (carrying its [`crate::context::ShardIdentity`]); the
-    /// payloads are opaque to the host.
-    ///
-    /// # Errors
-    ///
-    /// Propagates context errors; `shard` out of range is an error.
-    fn provision_shard(&mut self, shard: u32, sealed_payload: Vec<u8>) -> Result<()> {
-        if shard == 0 {
-            self.provision(sealed_payload)
-        } else {
-            Err(LcmError::Tee(format!(
-                "provision_shard({shard}) on a single-enclave server"
-            )))
-        }
     }
 
     /// Enqueues an encrypted INVOKE message.
@@ -572,21 +521,6 @@ pub trait BatchServer: Send {
     fn submit_to_shard(&mut self, shard: u32, invoke_wire: Vec<u8>) {
         let _ = shard;
         self.submit(invoke_wire);
-    }
-
-    /// The thread-safe `&self`-submission surface of this server, if
-    /// it has one: a handle through which independent producer threads
-    /// submit wires and driver threads pump lanes concurrently (see
-    /// [`crate::transport::TransportPlane`] /
-    /// [`crate::transport::Frontend`]).
-    ///
-    /// Single-enclave servers return `None` (their owner is their only
-    /// driver); [`crate::shard::ShardedServer`] returns its shared
-    /// core. Wrap a solo server in a one-shard `ShardedServer` (or use
-    /// [`crate::transport::Frontend::solo`]) to drive it through the
-    /// concurrent front-end.
-    fn transport_plane(&self) -> Option<std::sync::Arc<dyn crate::transport::TransportPlane>> {
-        None
     }
 
     /// Number of queued, unprocessed messages.
@@ -722,16 +656,10 @@ pub trait BatchServer: Send {
     ///
     /// # Errors
     ///
-    /// Propagates TEE errors; out-of-range coordinates are an error.
-    fn attest_member(&mut self, shard: u32, replica: u32, user_data: Digest) -> Result<Quote> {
-        if replica == 0 {
-            self.attest_shard(shard, user_data)
-        } else {
-            Err(LcmError::Tee(format!(
-                "attest_member(shard {shard}, replica {replica}) on an unreplicated server"
-            )))
-        }
-    }
+    /// Propagates TEE errors; out-of-range coordinates are
+    /// [`LcmError::NoSuchMember`]. Single-enclave servers answer only
+    /// `(0, 0)`.
+    fn attest_member(&mut self, shard: u32, replica: u32, user_data: Digest) -> Result<Quote>;
 
     /// Delivers the admin's sealed provisioning payload to member
     /// `replica` of shard `shard`'s group. Each member receives its own
@@ -739,22 +667,11 @@ pub trait BatchServer: Send {
     ///
     /// # Errors
     ///
-    /// Propagates context errors; out-of-range coordinates are an
-    /// error.
-    fn provision_member(
-        &mut self,
-        shard: u32,
-        replica: u32,
-        sealed_payload: Vec<u8>,
-    ) -> Result<()> {
-        if replica == 0 {
-            self.provision_shard(shard, sealed_payload)
-        } else {
-            Err(LcmError::Tee(format!(
-                "provision_member(shard {shard}, replica {replica}) on an unreplicated server"
-            )))
-        }
-    }
+    /// Propagates context errors; out-of-range coordinates are
+    /// [`LcmError::NoSuchMember`]. Single-enclave servers answer only
+    /// `(0, 0)`.
+    fn provision_member(&mut self, shard: u32, replica: u32, sealed_payload: Vec<u8>)
+        -> Result<()>;
 
     /// Crash-stops member `replica` of shard `shard`'s group (the
     /// fault-injection hook for replica-failure tests). `power_failure`
@@ -765,17 +682,12 @@ pub trait BatchServer: Send {
     ///
     /// # Errors
     ///
-    /// Out-of-range coordinates are an error.
+    /// Out-of-range coordinates are [`LcmError::NoSuchMember`].
     fn kill_member(&mut self, shard: u32, replica: u32, power_failure: bool) -> Result<()> {
         let _ = power_failure;
-        if shard == 0 && replica == 0 {
-            self.crash();
-            Ok(())
-        } else {
-            Err(LcmError::Tee(format!(
-                "kill_member(shard {shard}, replica {replica}) on an unreplicated server"
-            )))
-        }
+        solo_member(shard, replica)?;
+        self.crash();
+        Ok(())
     }
 
     /// Reboots a previously killed member of shard `shard`'s group and
@@ -787,15 +699,11 @@ pub trait BatchServer: Send {
     ///
     /// # Errors
     ///
-    /// Propagates boot errors; out-of-range coordinates are an error.
+    /// Propagates boot errors; out-of-range coordinates are
+    /// [`LcmError::NoSuchMember`].
     fn reboot_member(&mut self, shard: u32, replica: u32) -> Result<bool> {
-        if shard == 0 && replica == 0 {
-            self.boot()
-        } else {
-            Err(LcmError::Tee(format!(
-                "reboot_member(shard {shard}, replica {replica}) on an unreplicated server"
-            )))
-        }
+        solo_member(shard, replica)?;
+        self.boot()
     }
 
     /// Target side of migration under a host-assigned replica slot:
@@ -894,6 +802,20 @@ pub trait BatchServer: Send {
     }
 }
 
+/// Checks that `(shard, replica)` addresses the only member of a
+/// single-enclave server, `(0, 0)`.
+///
+/// # Errors
+///
+/// [`LcmError::NoSuchMember`] for any other address.
+pub(crate) fn solo_member(shard: u32, replica: u32) -> Result<()> {
+    if shard == 0 && replica == 0 {
+        Ok(())
+    } else {
+        Err(LcmError::NoSuchMember { shard, replica })
+    }
+}
+
 /// A thread-safe verified-read surface: reader threads serve
 /// replica-pinned read legs through `&self` while the write path runs,
 /// so a 2f+1 group answers reads on all members concurrently.
@@ -920,29 +842,14 @@ impl<S: BatchServer + ?Sized> BatchServer for Box<S> {
     fn is_running(&self) -> bool {
         (**self).is_running()
     }
-    fn provision(&mut self, sealed_payload: Vec<u8>) -> Result<()> {
-        (**self).provision(sealed_payload)
-    }
-    fn attest(&mut self, user_data: Digest) -> Result<Quote> {
-        (**self).attest(user_data)
-    }
     fn shard_count(&self) -> u32 {
         (**self).shard_count()
-    }
-    fn attest_shard(&mut self, shard: u32, user_data: Digest) -> Result<Quote> {
-        (**self).attest_shard(shard, user_data)
-    }
-    fn provision_shard(&mut self, shard: u32, sealed_payload: Vec<u8>) -> Result<()> {
-        (**self).provision_shard(shard, sealed_payload)
     }
     fn submit(&mut self, invoke_wire: Vec<u8>) {
         (**self).submit(invoke_wire);
     }
     fn submit_to_shard(&mut self, shard: u32, invoke_wire: Vec<u8>) {
         (**self).submit_to_shard(shard, invoke_wire);
-    }
-    fn transport_plane(&self) -> Option<std::sync::Arc<dyn crate::transport::TransportPlane>> {
-        (**self).transport_plane()
     }
     fn queued(&self) -> usize {
         (**self).queued()
@@ -1039,11 +946,18 @@ impl<F: Functionality> BatchServer for LcmServer<F> {
     fn is_running(&self) -> bool {
         LcmServer::is_running(self)
     }
-    fn provision(&mut self, sealed_payload: Vec<u8>) -> Result<()> {
-        LcmServer::provision(self, sealed_payload)
-    }
-    fn attest(&mut self, user_data: Digest) -> Result<Quote> {
+    fn attest_member(&mut self, shard: u32, replica: u32, user_data: Digest) -> Result<Quote> {
+        solo_member(shard, replica)?;
         LcmServer::attest(self, user_data)
+    }
+    fn provision_member(
+        &mut self,
+        shard: u32,
+        replica: u32,
+        sealed_payload: Vec<u8>,
+    ) -> Result<()> {
+        solo_member(shard, replica)?;
+        LcmServer::provision(self, sealed_payload)
     }
     fn submit(&mut self, invoke_wire: Vec<u8>) {
         LcmServer::submit(self, invoke_wire);
@@ -1212,6 +1126,70 @@ mod tests {
         let replies = server.process_all().unwrap();
         let done = c.handle_reply(&replies[0].1).unwrap();
         assert_eq!(done.seq.0, 1);
+    }
+
+    #[test]
+    fn out_of_range_members_are_rejected_and_bootstrap_still_succeeds() {
+        use crate::replica::{ReplicaGroup, ReplicaMember};
+        use crate::shard::{build_sharded, ShardedServer};
+        use crate::transport::{DriveMode, Frontend};
+
+        let world = TeeWorld::new_deterministic(43);
+        let solo = |platform: u64, storage: Arc<dyn StableStorage>| {
+            LcmServer::<AppendLog>::new(&world.platform_deterministic(platform), storage, 4)
+        };
+        let group = ReplicaGroup::new(
+            (0..3)
+                .map(|r| {
+                    let storage: Arc<dyn StableStorage> = Arc::new(MemoryStorage::new());
+                    ReplicaMember {
+                        server: Box::new(solo(10 + r, storage.clone())),
+                        storage,
+                    }
+                })
+                .collect(),
+            Quorum::Majority,
+        );
+        let fresh = || Arc::new(MemoryStorage::new());
+        // Each row: a deployment shape and addresses it does not have.
+        type Case = (&'static str, Box<dyn BatchServer>, Vec<(u32, u32)>);
+        let cases: Vec<Case> = vec![
+            ("solo", Box::new(solo(1, fresh())), vec![(0, 1), (1, 0)]),
+            (
+                "pipelined",
+                Box::new(solo(2, fresh()).into_pipelined()),
+                vec![(0, 1), (1, 0)],
+            ),
+            (
+                "2 shards",
+                Box::new(build_sharded::<AppendLog>(&world, 3, fresh(), 4, 2, false)),
+                vec![(2, 0), (1, 1)],
+            ),
+            ("3-member group", Box::new(group), vec![(0, 3), (1, 0)]),
+            (
+                "frontend",
+                Box::new(Frontend::new(
+                    ShardedServer::new(vec![solo(20, fresh())]),
+                    1,
+                    DriveMode::OnDemand,
+                )),
+                vec![(1, 0), (0, 1)],
+            ),
+        ];
+        let challenge = lcm_crypto::sha256::digest(b"challenge");
+        for (name, mut server, missing) in cases {
+            assert!(server.boot().unwrap(), "{name}");
+            for (shard, replica) in missing.into_iter().chain([(u32::MAX, u32::MAX)]) {
+                let expected = LcmError::NoSuchMember { shard, replica };
+                let attested = server.attest_member(shard, replica, challenge);
+                assert_eq!(attested.unwrap_err(), expected, "{name}");
+                let provisioned = server.provision_member(shard, replica, b"payload".to_vec());
+                assert_eq!(provisioned.unwrap_err(), expected, "{name}");
+            }
+            let mut admin =
+                AdminHandle::new_deterministic(&world, vec![ClientId(1)], Quorum::Majority, 9);
+            admin.bootstrap(&mut server).unwrap();
+        }
     }
 
     #[test]

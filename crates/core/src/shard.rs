@@ -11,7 +11,7 @@
 //! ```text
 //!                      ┌── ingress queue 0 ──▶ shard 0 (enclave + storage ns 0) ─┐
 //!  clients ──▶ router ─┼── ingress queue 1 ──▶ shard 1 (enclave + storage ns 1) ─┼─▶ ordered replies
-//!   (Hub)  slice table └── ingress queue … ──▶ shard …                           ┘   (per-client FIFO)
+//!          slice table └── ingress queue … ──▶ shard …                           ┘   (per-client FIFO)
 //! ```
 //!
 //! ## Routing: the epoch-versioned slice table
@@ -1020,7 +1020,7 @@ impl<S: BatchServer + 'static> crate::transport::TransportPlane for ShardCore<S>
 ///
 /// Construct over homogeneous shards with [`ShardedServer::new`], or
 /// use [`build_sharded`] for the common LCM-over-namespaced-storage
-/// layout. The transport [`crate::transport::Hub`], the
+/// layout. The concurrent [`crate::transport::Frontend`], the
 /// [`crate::admin::AdminHandle`], and client libraries all run
 /// unmodified on top.
 ///
@@ -1031,7 +1031,7 @@ impl<S: BatchServer + 'static> crate::transport::TransportPlane for ShardCore<S>
 pub struct ShardedServer<S: BatchServer + 'static> {
     /// The shared ingress/execution/reply core; the concurrent
     /// transport front-end holds a second `Arc` to it (see
-    /// [`BatchServer::transport_plane`]).
+    /// [`ShardedServer::plane`]).
     core: Arc<ShardCore<S>>,
     pool: WorkerPool,
     /// Digest of each shard's last attestation quote (`None` until the
@@ -1098,6 +1098,23 @@ impl<S: BatchServer + 'static> ShardedServer<S> {
     /// Number of shards.
     pub fn shard_count(&self) -> u32 {
         self.core.shards.len() as u32
+    }
+
+    /// The thread-safe `&self` ingress/execution/reply surface that a
+    /// [`crate::transport::Frontend`] drives concurrently with this
+    /// server's own control plane.
+    pub(crate) fn plane(&self) -> Arc<dyn crate::transport::TransportPlane> {
+        self.core.clone()
+    }
+
+    /// Shard `shard`'s lane, for a control-plane call addressed to
+    /// member `(shard, replica)` of the deployment.
+    fn lane_at(&self, shard: u32, replica: u32) -> Result<&Shard<S>> {
+        self.core
+            .shards
+            .get(shard as usize)
+            .filter(|target| replica < lock(&target.lane).server.replica_count())
+            .ok_or(LcmError::NoSuchMember { shard, replica })
     }
 
     /// Runs `f` with exclusive access to shard `index`'s server — the
@@ -1365,32 +1382,6 @@ pub fn plan_rebalance(heat: &[u64], table: &SliceTable) -> Option<(u32, u32)> {
     Some((slice, cold as u32))
 }
 
-/// Concatenates per-shard sealed provisioning payloads into the one
-/// blob the multi-shard form of [`BatchServer::provision`] fans back
-/// out (count-prefixed, each part length-prefixed — the same codec
-/// shape as migration tickets).
-pub fn concat_provision_payloads(parts: &[Vec<u8>]) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u32(parts.len() as u32);
-    for part in parts {
-        w.put_bytes(part);
-    }
-    w.into_bytes()
-}
-
-/// Inverse of [`concat_provision_payloads`]; `None` when the blob is
-/// not a well-formed concatenation (e.g. a single raw sealed payload).
-fn split_provision_payloads(blob: &[u8]) -> Option<Vec<Vec<u8>>> {
-    let mut r = Reader::new(blob);
-    let n = r.get_u32().ok()? as usize;
-    let mut parts = Vec::new();
-    for _ in 0..n {
-        parts.push(r.get_bytes().ok()?.to_vec());
-    }
-    r.finish().ok()?;
-    Some(parts)
-}
-
 impl<S: BatchServer + 'static> BatchServer for ShardedServer<S> {
     fn boot(&mut self) -> Result<bool> {
         let outcomes = self.for_each_shard(|s| s.boot())?;
@@ -1441,54 +1432,8 @@ impl<S: BatchServer + 'static> BatchServer for ShardedServer<S> {
             .all(|s| lock(&s.lane).server.is_running())
     }
 
-    fn provision(&mut self, sealed_payload: Vec<u8>) -> Result<()> {
-        // A multi-shard deployment cannot be provisioned from one
-        // sealed payload: each enclave's payload carries its own
-        // identity, so fanning out a clone would forge an identity
-        // collision. Instead, the multi-shard form of `provision`
-        // takes the count-prefixed concatenation of per-shard payloads
-        // (see [`concat_provision_payloads`]) and delegates to the
-        // `provision_shard` loop — the same loop
-        // [`crate::admin::AdminHandle::bootstrap`] drives directly.
-        if self.core.shards.len() == 1 {
-            return self.provision_shard(0, sealed_payload);
-        }
-        let parts = split_provision_payloads(&sealed_payload).ok_or_else(|| {
-            LcmError::Tee(
-                "sharded deployment requires per-shard provisioning: pass \
-                 concat_provision_payloads() of one identity-bearing payload \
-                 per shard (or drive provision_shard / AdminHandle::bootstrap \
-                 directly)"
-                    .into(),
-            )
-        })?;
-        if parts.len() != self.core.shards.len() {
-            return Err(LcmError::Tee(format!(
-                "provision carries {} per-shard payloads for a {}-shard deployment",
-                parts.len(),
-                self.core.shards.len()
-            )));
-        }
-        for (i, part) in parts.into_iter().enumerate() {
-            self.provision_shard(i as u32, part)?;
-        }
-        Ok(())
-    }
-
-    fn attest(&mut self, user_data: Digest) -> Result<Quote> {
-        // Single-quote view of the deployment: shard 0. The admin's
-        // bootstrap does NOT rely on this — it attests every lane via
-        // `attest_shard` and verifies each quote against that shard's
-        // identity binding.
-        self.attest_shard(0, user_data)
-    }
-
     fn shard_count(&self) -> u32 {
         self.core.shards.len() as u32
-    }
-
-    fn transport_plane(&self) -> Option<Arc<dyn crate::transport::TransportPlane>> {
-        Some(self.core.clone())
     }
 
     fn batch_limit(&self) -> usize {
@@ -1498,34 +1443,6 @@ impl<S: BatchServer + 'static> BatchServer for ShardedServer<S> {
             .map(|s| lock(&s.lane).server.batch_limit())
             .max()
             .unwrap_or(1)
-    }
-
-    fn attest_shard(&mut self, shard: u32, user_data: Digest) -> Result<Quote> {
-        let Some(target) = self.core.shards.get(shard as usize) else {
-            return Err(LcmError::Tee(format!(
-                "attest_shard({shard}) on a {}-shard deployment",
-                self.core.shards.len()
-            )));
-        };
-        let quote = lock(&target.lane).server.attest(user_data)?;
-        // Record the attestation host-side: a fingerprint of what the
-        // verifier saw (measurement + identity-bound user data), so
-        // stats can assert every member was attested.
-        let mut buf = Vec::with_capacity(64);
-        buf.extend_from_slice(quote.measurement.as_bytes());
-        buf.extend_from_slice(quote.user_data.as_bytes());
-        self.quote_digests[shard as usize] = Some(lcm_crypto::sha256::digest(&buf));
-        Ok(quote)
-    }
-
-    fn provision_shard(&mut self, shard: u32, sealed_payload: Vec<u8>) -> Result<()> {
-        let Some(target) = self.core.shards.get(shard as usize) else {
-            return Err(LcmError::Tee(format!(
-                "provision_shard({shard}) on a {}-shard deployment",
-                self.core.shards.len()
-            )));
-        };
-        lock(&target.lane).server.provision(sealed_payload)
     }
 
     fn submit(&mut self, invoke_wire: Vec<u8>) {
@@ -1683,15 +1600,13 @@ impl<S: BatchServer + 'static> BatchServer for ShardedServer<S> {
     }
 
     fn attest_member(&mut self, shard: u32, replica: u32, user_data: Digest) -> Result<Quote> {
-        let Some(target) = self.core.shards.get(shard as usize) else {
-            return Err(LcmError::Tee(format!(
-                "attest_member(shard {shard}) on a {}-shard deployment",
-                self.core.shards.len()
-            )));
-        };
+        let target = self.lane_at(shard, replica)?;
         let quote = lock(&target.lane)
             .server
             .attest_member(0, replica, user_data)?;
+        // Record the attestation host-side: a fingerprint of what the
+        // verifier saw (measurement + identity-bound user data), so
+        // stats can assert every member was attested.
         let mut buf = Vec::with_capacity(64);
         buf.extend_from_slice(quote.measurement.as_bytes());
         buf.extend_from_slice(quote.user_data.as_bytes());
@@ -1705,24 +1620,14 @@ impl<S: BatchServer + 'static> BatchServer for ShardedServer<S> {
         replica: u32,
         sealed_payload: Vec<u8>,
     ) -> Result<()> {
-        let Some(target) = self.core.shards.get(shard as usize) else {
-            return Err(LcmError::Tee(format!(
-                "provision_member(shard {shard}) on a {}-shard deployment",
-                self.core.shards.len()
-            )));
-        };
+        let target = self.lane_at(shard, replica)?;
         lock(&target.lane)
             .server
             .provision_member(0, replica, sealed_payload)
     }
 
     fn kill_member(&mut self, shard: u32, replica: u32, power_failure: bool) -> Result<()> {
-        if shard as usize >= self.core.shards.len() {
-            return Err(LcmError::Tee(format!(
-                "kill_member(shard {shard}) on a {}-shard deployment",
-                self.core.shards.len()
-            )));
-        }
+        self.lane_at(shard, replica)?;
         // `with_shard`'s resync writes the group's in-flight tickets
         // off when a leader kill stops the group (`is_running` goes
         // false); follower kills leave the lane running and settled.
@@ -1730,12 +1635,7 @@ impl<S: BatchServer + 'static> BatchServer for ShardedServer<S> {
     }
 
     fn reboot_member(&mut self, shard: u32, replica: u32) -> Result<bool> {
-        if shard as usize >= self.core.shards.len() {
-            return Err(LcmError::Tee(format!(
-                "reboot_member(shard {shard}) on a {}-shard deployment",
-                self.core.shards.len()
-            )));
-        }
+        self.lane_at(shard, replica)?;
         self.with_shard(shard, |s| s.reboot_member(0, replica))
     }
 
@@ -2056,66 +1956,6 @@ mod tests {
     }
 
     #[test]
-    fn single_payload_provision_rejected_on_multi_shard_deployment() {
-        // A raw (non-concatenated) payload cannot provision more than
-        // one shard: cloning it across lanes would forge an identity
-        // collision, so the multi-shard `provision` only accepts the
-        // count-prefixed concatenation of identity-bearing payloads.
-        let world = TeeWorld::new_deterministic(95);
-        let mut server =
-            build_sharded::<Counter>(&world, 1, Arc::new(MemoryStorage::new()), 8, 2, false);
-        assert!(server.boot().unwrap());
-        let err = server.provision(b"one payload for everyone".to_vec());
-        assert!(
-            matches!(err, Err(LcmError::Tee(ref m)) if m.contains("per-shard")),
-            "got {err:?}"
-        );
-        // A well-formed concatenation with the wrong cardinality is a
-        // distinct, explicit error.
-        let err = server.provision(concat_provision_payloads(&[b"only-one".to_vec()]));
-        assert!(
-            matches!(err, Err(LcmError::Tee(ref m)) if m.contains("1 per-shard payloads")),
-            "got {err:?}"
-        );
-    }
-
-    #[test]
-    fn concatenated_provision_delegates_to_per_shard_loop() {
-        use crate::context::{ProvisionPayload, ShardIdentity, LABEL_PROVISION};
-        use crate::program::lcm_measurement;
-        use lcm_crypto::aead::{self, AeadKey};
-        use lcm_crypto::keys::SecretKey;
-
-        let world = TeeWorld::new_deterministic(97);
-        let mut server =
-            build_sharded::<Counter>(&world, 1, Arc::new(MemoryStorage::new()), 8, 2, false);
-        assert!(server.boot().unwrap());
-
-        let channel = AeadKey::from_secret(&world.admin_provision_key(&lcm_measurement()));
-        let sealed_for = |index: u32| {
-            use crate::codec::WireCodec;
-            let payload = ProvisionPayload {
-                k_p: SecretKey::from_bytes([1u8; 32]),
-                k_c: SecretKey::from_bytes([2u8; 32]),
-                k_a: SecretKey::from_bytes([3u8; 32]),
-                clients: vec![ClientId(1)],
-                quorum: Quorum::Majority,
-                identity: ShardIdentity::new(index, 2),
-            };
-            aead::auth_encrypt(&channel, &payload.to_bytes(), LABEL_PROVISION).unwrap()
-        };
-        // One identity-bearing payload per shard, in shard order: the
-        // single `provision` call fans them out via `provision_shard`.
-        server
-            .provision(concat_provision_payloads(&[sealed_for(0), sealed_for(1)]))
-            .unwrap();
-
-        let mut admin =
-            AdminHandle::new_deterministic(&world, vec![ClientId(1)], Quorum::Majority, 97);
-        admin.verify_deployment(&mut server).unwrap();
-    }
-
-    #[test]
     fn swapped_provisioning_payloads_fail_deployment_verification() {
         use crate::context::{ProvisionPayload, ShardIdentity, LABEL_PROVISION};
         use crate::program::lcm_measurement;
@@ -2146,8 +1986,8 @@ mod tests {
             aead::auth_encrypt(&channel, &payload.to_bytes(), LABEL_PROVISION).unwrap()
         };
         // Swap: lane 0 gets identity 1, lane 1 gets identity 0.
-        server.provision_shard(0, sealed_for(1)).unwrap();
-        server.provision_shard(1, sealed_for(0)).unwrap();
+        server.provision_member(0, 0, sealed_for(1)).unwrap();
+        server.provision_member(1, 0, sealed_for(0)).unwrap();
 
         let mut admin =
             AdminHandle::new_deterministic(&world, vec![ClientId(1)], Quorum::Majority, 96);

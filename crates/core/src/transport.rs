@@ -1,42 +1,36 @@
 //! The transport layer between clients and the host server: the
-//! single-threaded adversarial [`Hub`] and the multi-producer
-//! concurrent [`Frontend`].
+//! multi-producer concurrent [`Frontend`].
 //!
 //! The paper's model routes every client⇄T message through the server,
 //! which may "intercept, modify, reorder, discard, or replay" them
-//! (§2.3). Two front-ends materialize that topology:
+//! (§2.3). The [`Frontend`] materializes that topology at deployment
+//! scale: a thread-safe ingress plane (any number of producer threads
+//! submit through [`FrontendPort::send`] / [`Frontend::submit`]),
+//! per-shard driver loops running on an [`lcm_runtime::WorkerPool`],
+//! and a reply demux plane that routes each released reply to its
+//! client's port in that client's submission order. The untrusted host
+//! becomes a concurrent message pump between clients and the enclaves.
 //!
-//! * [`Hub`] — the adversarial test harness: each client gets a duplex
-//!   [`lcm_net`] link whose controllers can hold, tamper with, or
-//!   replay messages, and one caller thread pumps ingress → server →
-//!   replies. Use it when the *links* are the subject of the test.
-//! * [`Frontend`] — the deployment-scale front-end: a thread-safe
-//!   ingress plane (any number of producer threads submit through
-//!   [`FrontendPort::send`] / [`Frontend::submit`]), per-shard driver
-//!   loops running on an [`lcm_runtime::WorkerPool`], and a reply
-//!   demux plane that routes each released reply to its client's port
-//!   in that client's submission order. The untrusted host becomes a
-//!   concurrent message pump between clients and the enclaves — the
-//!   paper's host architecture at deployment scale.
-//!
-//! Both are generic over [`BatchServer`], so the same topology drives
-//! the synchronous [`crate::server::LcmServer`], the asynchronous-write
-//! [`crate::pipeline::PipelinedServer`], and the sharded
-//! [`crate::shard::ShardedServer`]. Shared drop/flow counters are
+//! The front-end drives a [`crate::shard::ShardedServer`], whose lanes
+//! may be synchronous [`crate::server::LcmServer`]s, asynchronous-write
+//! [`crate::pipeline::PipelinedServer`]s, or replica groups; a solo
+//! server runs as a one-shard deployment. Shared drop/flow counters are
 //! atomic ([`TransportStats`]) and readable from `&self` while other
-//! threads keep pumping.
+//! threads keep pumping. Link-level attacks (hold, tamper, replay) are
+//! modelled directly on the wires a test hands to the server, or over
+//! the adversarial links of the `lcm-net` crate.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-use lcm_net::{Duplex, DuplexEnd, LinkController};
 use lcm_runtime::queue::BoundedQueue;
 use lcm_runtime::WorkerPool;
 
 use crate::admission::{AdmissionState, AdmitOutcome, HealthSnapshot, RetryAfter};
 use crate::server::{BatchServer, Replies};
+use crate::shard::ShardedServer;
 use crate::types::ClientId;
 use crate::{LcmError, Result};
 
@@ -134,7 +128,8 @@ pub const BATCH_LINGER: Duration = Duration::from_micros(600);
 /// and reply planes — what a concurrent [`Frontend`] drives.
 ///
 /// Implemented by [`crate::shard::ShardedServer`]'s shared core (one
-/// lane per shard; a one-shard deployment is the solo case). All
+/// lane per shard; a one-shard deployment is the solo case); the trait
+/// keeps [`FrontendPort`] free of the server's type parameters. All
 /// methods take `&self`: any number of producer threads may `submit`
 /// while any number of driver threads `drive` lanes; each lane is
 /// stepped by at most one driver at a time.
@@ -427,7 +422,7 @@ impl FrontendPort {
 /// fresh tickets.
 ///
 /// The front-end itself implements [`BatchServer`], so admin
-/// bootstrap, scenario suites, and the `Hub` run on top unchanged:
+/// bootstrap and scenario suites run on top unchanged:
 /// control-plane calls forward to the wrapped server (serialized
 /// against the drivers by the per-lane locks), `submit` feeds the
 /// ingress plane, and `process_all` pumps to quiescence and returns
@@ -527,23 +522,13 @@ fn driver_loop(plane: Arc<dyn TransportPlane>, shared: Arc<FrontendShared>, mode
     }
 }
 
-impl<S: BatchServer + 'static> Frontend<S> {
+impl<L: BatchServer + 'static> Frontend<ShardedServer<L>> {
     /// Lifts `server` into a concurrent front-end with `threads`
     /// driver threads (min 1; more drivers than lanes buys nothing).
-    ///
-    /// # Errors
-    ///
-    /// The server must expose a [`TransportPlane`]
-    /// ([`BatchServer::transport_plane`]); single-enclave servers do
-    /// not — wrap those with [`Frontend::solo`].
-    pub fn new(server: S, threads: usize, mode: DriveMode) -> Result<Self> {
-        let plane = server.transport_plane().ok_or_else(|| {
-            LcmError::Tee(
-                "server has no transport plane; wrap it in a one-shard \
-                 ShardedServer (Frontend::solo) to drive it concurrently"
-                    .into(),
-            )
-        })?;
+    /// A single-enclave server runs behind the front-end as
+    /// `ShardedServer::new(vec![server])`.
+    pub fn new(server: ShardedServer<L>, threads: usize, mode: DriveMode) -> Self {
+        let plane = server.plane();
         let threads = threads.max(1);
         let shared = Arc::new(FrontendShared {
             shutdown: AtomicBool::new(false),
@@ -570,16 +555,18 @@ impl<S: BatchServer + 'static> Frontend<S> {
             let shared = shared.clone();
             pool.execute(move || driver_loop(plane, shared, mode));
         }
-        Ok(Frontend {
+        Frontend {
             server,
             plane,
             shared,
             mode,
             threads,
             drivers: Some(pool),
-        })
+        }
     }
+}
 
+impl<S: BatchServer + 'static> Frontend<S> {
     /// Direct access to the wrapped server (boot, crash, shard hooks,
     /// stats). Control-plane calls made through it serialize against
     /// the drivers on the per-lane locks.
@@ -710,24 +697,6 @@ impl<S: BatchServer + 'static> Frontend<S> {
     }
 }
 
-impl<S: BatchServer + 'static> Frontend<crate::shard::ShardedServer<S>> {
-    /// Lifts a single-enclave server into the concurrent front-end by
-    /// wrapping it in a one-shard [`crate::shard::ShardedServer`] (the
-    /// solo lane gets the shared ingress/reply core for free).
-    ///
-    /// **Note:** the `lcm` facade crate's `DeploymentBuilder` (with
-    /// `.shards(1)`) assembles this plus the admin bootstrap in one
-    /// call; `solo` remains for callers lifting a pre-built server.
-    pub fn solo(server: S, threads: usize, mode: DriveMode) -> Self {
-        Self::new(
-            crate::shard::ShardedServer::new(vec![server]),
-            threads,
-            mode,
-        )
-        .expect("a sharded core always provides a transport plane")
-    }
-}
-
 impl<S: BatchServer + 'static> Drop for Frontend<S> {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
@@ -758,27 +727,8 @@ impl<S: BatchServer + 'static> BatchServer for Frontend<S> {
     fn is_running(&self) -> bool {
         self.server.is_running()
     }
-    fn provision(&mut self, sealed_payload: Vec<u8>) -> Result<()> {
-        self.server.provision(sealed_payload)
-    }
-    fn attest(
-        &mut self,
-        user_data: lcm_crypto::sha256::Digest,
-    ) -> Result<lcm_tee::attestation::Quote> {
-        self.server.attest(user_data)
-    }
     fn shard_count(&self) -> u32 {
         self.server.shard_count()
-    }
-    fn attest_shard(
-        &mut self,
-        shard: u32,
-        user_data: lcm_crypto::sha256::Digest,
-    ) -> Result<lcm_tee::attestation::Quote> {
-        self.server.attest_shard(shard, user_data)
-    }
-    fn provision_shard(&mut self, shard: u32, sealed_payload: Vec<u8>) -> Result<()> {
-        self.server.provision_shard(shard, sealed_payload)
     }
     fn submit(&mut self, invoke_wire: Vec<u8>) {
         self.submit_shared(invoke_wire);
@@ -879,206 +829,6 @@ impl<S: BatchServer + 'static> BatchServer for Frontend<S> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The single-threaded adversarial hub.
-// ---------------------------------------------------------------------------
-
-/// A client's connection handle.
-#[derive(Debug, Clone)]
-pub struct ClientPort {
-    end: DuplexEnd,
-}
-
-impl ClientPort {
-    /// Sends an encrypted INVOKE toward the server.
-    pub fn send(&self, wire: Vec<u8>) {
-        self.end.send(wire);
-    }
-
-    /// Receives the next deliverable reply, if any.
-    pub fn try_recv(&self) -> Option<Vec<u8>> {
-        self.end.try_recv()
-    }
-}
-
-/// Adversary handles for one client's connection, plus the shared
-/// transport statistics.
-#[derive(Debug, Clone)]
-pub struct PortControl {
-    /// Controls the client→server direction.
-    pub to_server: LinkController,
-    /// Controls the server→client direction.
-    pub to_client: LinkController,
-    /// Shared hub counters (see [`PortControl::stats`]).
-    stats: Arc<TransportStats>,
-}
-
-impl PortControl {
-    /// Replies the hub could not route to any connected port since it
-    /// was created (hub-wide counter, shared by every port's control).
-    pub fn hub_dropped_replies(&self) -> u64 {
-        self.stats.dropped_replies()
-    }
-
-    /// The hub's shared transport counters — atomic, readable from
-    /// `&self` while the pump keeps running.
-    pub fn stats(&self) -> Arc<TransportStats> {
-        self.stats.clone()
-    }
-}
-
-struct Port {
-    server_end: DuplexEnd,
-    control: PortControl,
-}
-
-/// An in-process network connecting a [`BatchServer`] to its clients
-/// over adversary-controllable links, pumped by one caller thread.
-///
-/// For the multi-threaded deployment front-end, see [`Frontend`]; the
-/// hub remains the harness for link-level attacks (hold, tamper,
-/// replay) because a single pump thread makes their schedules exact.
-///
-/// # Example
-///
-/// ```
-/// use lcm_core::functionality::AppendLog;
-/// use lcm_core::server::LcmServer;
-/// use lcm_core::transport::Hub;
-/// use lcm_core::types::ClientId;
-/// use lcm_storage::MemoryStorage;
-/// use lcm_tee::world::TeeWorld;
-/// use std::sync::Arc;
-///
-/// let world = TeeWorld::new_deterministic(1);
-/// let server = LcmServer::<AppendLog>::new(&world.platform(1), Arc::new(MemoryStorage::new()), 16);
-/// let mut hub = Hub::new(server);
-/// let port = hub.connect(ClientId(1));
-/// # let _ = port;
-/// ```
-pub struct Hub<S: BatchServer> {
-    server: S,
-    ports: BTreeMap<ClientId, Port>,
-    stats: Arc<TransportStats>,
-}
-
-impl<S: BatchServer + std::fmt::Debug> std::fmt::Debug for Hub<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Hub")
-            .field("server", &self.server)
-            .field("ports", &self.ports.len())
-            .field("dropped_replies", &self.stats.dropped_replies())
-            .finish()
-    }
-}
-
-impl<S: BatchServer> Hub<S> {
-    /// Wraps a server into a hub.
-    pub fn new(server: S) -> Self {
-        Hub {
-            server,
-            ports: BTreeMap::new(),
-            stats: Arc::new(TransportStats::default()),
-        }
-    }
-
-    /// Direct access to the server (boot, provision, crash, …).
-    pub fn server(&mut self) -> &mut S {
-        &mut self.server
-    }
-
-    /// Connects a client, returning its port. Links start in honest
-    /// (auto-deliver) mode; grab [`Hub::control`] to turn adversarial.
-    pub fn connect(&mut self, id: ClientId) -> ClientPort {
-        let duplex = Duplex::honest();
-        let Duplex {
-            client,
-            server,
-            to_server,
-            to_client,
-        } = duplex;
-        self.ports.insert(
-            id,
-            Port {
-                server_end: server,
-                control: PortControl {
-                    to_server,
-                    to_client,
-                    stats: self.stats.clone(),
-                },
-            },
-        );
-        ClientPort { end: client }
-    }
-
-    /// Disconnects a client's port; replies for it are henceforth
-    /// counted in [`Hub::dropped_replies`].
-    pub fn disconnect(&mut self, id: ClientId) -> bool {
-        self.ports.remove(&id).is_some()
-    }
-
-    /// The adversary's handles on one client's connection.
-    pub fn control(&self, id: ClientId) -> Option<PortControl> {
-        self.ports.get(&id).map(|p| p.control.clone())
-    }
-
-    /// Replies the hub could not route to any connected port.
-    pub fn dropped_replies(&self) -> u64 {
-        self.stats.dropped_replies()
-    }
-
-    /// The hub's shared transport counters — atomic, readable from
-    /// `&self` (clone the `Arc` into an observer thread to watch drops
-    /// without stopping the pump).
-    pub fn stats(&self) -> Arc<TransportStats> {
-        self.stats.clone()
-    }
-
-    /// Moves all deliverable client messages into the server, processes
-    /// them, and routes the replies back onto the clients' links.
-    /// Replies for unknown ports are dropped and counted in
-    /// [`Hub::dropped_replies`].
-    ///
-    /// Returns the number of operations processed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates violations detected by the trusted context; an honest
-    /// server crash-stops here, a malicious one might swallow it — the
-    /// clients find out either way.
-    pub fn pump(&mut self) -> Result<usize> {
-        // Ingress order: round-robin over ports for fairness, FIFO per
-        // port (the correct server forwards FIFO, §2.1).
-        loop {
-            let mut any = false;
-            for port in self.ports.values() {
-                if let Some(wire) = port.server_end.try_recv() {
-                    self.server.submit(wire);
-                    self.stats.submitted.fetch_add(1, Ordering::SeqCst);
-                    any = true;
-                }
-            }
-            if !any {
-                break;
-            }
-        }
-        let replies = self.server.process_all()?;
-        let n = replies.len();
-        for (id, wire) in replies {
-            match self.ports.get(&id) {
-                Some(port) => {
-                    port.server_end.send(wire);
-                    self.stats.delivered.fetch_add(1, Ordering::SeqCst);
-                }
-                None => {
-                    self.stats.dropped_replies.fetch_add(1, Ordering::SeqCst);
-                }
-            }
-        }
-        Ok(n)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1092,127 +842,6 @@ mod tests {
     use lcm_tee::world::TeeWorld;
     use std::sync::Arc;
 
-    fn hub_with_clients(n: u32) -> (Hub<LcmServer<AppendLog>>, Vec<(LcmClient, ClientPort)>) {
-        let world = TeeWorld::new_deterministic(60);
-        let platform = world.platform_deterministic(1);
-        let mut server = LcmServer::<AppendLog>::new(&platform, Arc::new(MemoryStorage::new()), 16);
-        server.boot().unwrap();
-        let ids: Vec<ClientId> = (1..=n).map(ClientId).collect();
-        let mut admin = AdminHandle::new_deterministic(&world, ids.clone(), Quorum::Majority, 3);
-        admin.bootstrap(&mut server).unwrap();
-        let mut hub = Hub::new(server);
-        let clients = ids
-            .iter()
-            .map(|&id| {
-                let port = hub.connect(id);
-                (LcmClient::new(id, admin.client_key()), port)
-            })
-            .collect();
-        (hub, clients)
-    }
-
-    #[test]
-    fn ops_flow_through_the_hub() {
-        let (mut hub, mut clients) = hub_with_clients(2);
-        for (client, port) in clients.iter_mut() {
-            port.send(client.invoke(b"op").unwrap());
-        }
-        assert_eq!(hub.pump().unwrap(), 2);
-        for (client, port) in clients.iter_mut() {
-            let reply = port.try_recv().expect("reply routed");
-            client.handle_reply(&reply).unwrap();
-        }
-        assert_eq!(hub.dropped_replies(), 0);
-        let stats = hub.stats();
-        assert_eq!(stats.submitted(), 2);
-        assert_eq!(stats.delivered(), 2);
-    }
-
-    #[test]
-    fn held_messages_do_not_reach_the_server() {
-        let (mut hub, mut clients) = hub_with_clients(1);
-        let (client, port) = &mut clients[0];
-        let ctl = hub.control(client.id()).unwrap();
-        ctl.to_server.set_auto_deliver(false);
-        port.send(client.invoke(b"op").unwrap());
-        assert_eq!(hub.pump().unwrap(), 0);
-        assert_eq!(ctl.to_server.held(), 1);
-        // Release it.
-        ctl.to_server.deliver_all();
-        assert_eq!(hub.pump().unwrap(), 1);
-        let reply = port.try_recv().unwrap();
-        client.handle_reply(&reply).unwrap();
-    }
-
-    #[test]
-    fn tampering_on_the_link_is_detected() {
-        let (mut hub, mut clients) = hub_with_clients(1);
-        let (client, port) = &mut clients[0];
-        let ctl = hub.control(client.id()).unwrap();
-        ctl.to_server.set_auto_deliver(false);
-        port.send(client.invoke(b"op").unwrap());
-        ctl.to_server.tamper_next(|m| m[0] ^= 0xff);
-        ctl.to_server.deliver_all();
-        let err = hub.pump().unwrap_err();
-        assert!(err.is_violation());
-    }
-
-    #[test]
-    fn replay_on_the_link_is_detected() {
-        let (mut hub, mut clients) = hub_with_clients(1);
-        let (client, port) = &mut clients[0];
-        let ctl = hub.control(client.id()).unwrap();
-        ctl.to_server.set_auto_deliver(false);
-        port.send(client.invoke(b"op").unwrap());
-        ctl.to_server.duplicate_next();
-        ctl.to_server.deliver_all();
-        let err = hub.pump().unwrap_err();
-        assert!(err.is_violation());
-    }
-
-    #[test]
-    fn unknown_port_reply_is_counted_not_panicked() {
-        // Replies to clients without a connected port are dropped (the
-        // honest hub cannot route them) — and the drop is observable.
-        let (mut hub, mut clients) = hub_with_clients(2);
-        let (client2, _port2) = &mut clients[1];
-        let wire = client2.invoke(b"orphan").unwrap();
-        assert!(hub.disconnect(client2.id()));
-        // The request reaches the server out of band; the reply has no
-        // port to return on.
-        hub.server().submit(wire);
-        assert_eq!(hub.pump().unwrap(), 1);
-        assert_eq!(hub.dropped_replies(), 1);
-        // The stat is visible through any port's adversary control too.
-        let ctl = hub.control(clients[0].0.id()).unwrap();
-        assert_eq!(ctl.hub_dropped_replies(), 1);
-    }
-
-    #[test]
-    fn stats_are_readable_from_another_thread_mid_pump() {
-        // The satellite regression: drop/flow statistics are atomic
-        // and shared — an observer thread holding only the stats Arc
-        // sees them move while the pump owner keeps the `&mut Hub`.
-        let (mut hub, mut clients) = hub_with_clients(1);
-        let stats = hub.stats();
-        let observer = std::thread::spawn(move || {
-            // Wait (bounded) until a delivery becomes visible.
-            for _ in 0..10_000 {
-                if stats.delivered() >= 1 {
-                    return true;
-                }
-                std::thread::yield_now();
-            }
-            false
-        });
-        let (client, port) = &mut clients[0];
-        port.send(client.invoke(b"op").unwrap());
-        hub.pump().unwrap();
-        assert!(observer.join().unwrap(), "observer saw the delivery");
-    }
-
-    // -- Frontend ----------------------------------------------------------
-
     fn frontend_counter(
         shards: u32,
         n_clients: u32,
@@ -1225,7 +854,7 @@ mod tests {
         let world = TeeWorld::new_deterministic(70 + u64::from(shards));
         let server =
             build_sharded::<Counter>(&world, 1, Arc::new(MemoryStorage::new()), 16, shards, false);
-        let mut fe = Frontend::new(server, threads, mode).unwrap();
+        let mut fe = Frontend::new(server, threads, mode);
         assert!(fe.boot().unwrap());
         let ids: Vec<ClientId> = (1..=n_clients).map(ClientId).collect();
         let mut admin = AdminHandle::new_deterministic(&world, ids.clone(), Quorum::Majority, 7);
@@ -1238,20 +867,11 @@ mod tests {
     }
 
     #[test]
-    fn frontend_requires_a_transport_plane() {
-        let world = TeeWorld::new_deterministic(71);
-        let platform = world.platform_deterministic(1);
-        let solo = LcmServer::<AppendLog>::new(&platform, Arc::new(MemoryStorage::new()), 16);
-        let err = Frontend::new(solo, 2, DriveMode::Continuous).unwrap_err();
-        assert!(err.to_string().contains("transport plane"), "{err}");
-    }
-
-    #[test]
     fn solo_server_runs_behind_the_frontend() {
         let world = TeeWorld::new_deterministic(72);
         let platform = world.platform_deterministic(1);
         let solo = LcmServer::<AppendLog>::new(&platform, Arc::new(MemoryStorage::new()), 16);
-        let mut fe = Frontend::solo(solo, 2, DriveMode::OnDemand);
+        let mut fe = Frontend::new(ShardedServer::new(vec![solo]), 2, DriveMode::OnDemand);
         assert!(fe.boot().unwrap());
         let mut admin =
             AdminHandle::new_deterministic(&world, vec![ClientId(1)], Quorum::Majority, 8);
@@ -1261,6 +881,34 @@ mod tests {
         let replies = fe.process_all().unwrap();
         assert_eq!(replies.len(), 1);
         assert_eq!(client.handle_reply(&replies[0].1).unwrap().seq.0, 1);
+    }
+
+    #[test]
+    fn stats_are_readable_from_another_thread_mid_pump() {
+        // Drop/flow statistics are atomic and shared: an observer
+        // thread holding only the stats Arc sees them move while the
+        // pump owner keeps the `&mut Frontend`.
+        let (mut fe, mut clients) = frontend_counter(2, 1, 1, DriveMode::OnDemand);
+        let port = fe.connect(clients[0].id());
+        let stats = fe.stats();
+        let observer = std::thread::spawn(move || {
+            // Wait (bounded) until a delivery becomes visible.
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while std::time::Instant::now() < deadline {
+                if stats.delivered() >= 1 {
+                    return true;
+                }
+                std::thread::yield_now();
+            }
+            false
+        });
+        port.send(
+            clients[0]
+                .invoke_for::<Counter>(&Counter::inc_op(b"n", 1))
+                .unwrap(),
+        );
+        fe.pump().unwrap();
+        assert!(observer.join().unwrap(), "observer saw the delivery");
     }
 
     #[test]

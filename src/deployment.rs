@@ -232,7 +232,7 @@ impl<F: Functionality + 'static> DeploymentBuilder<F> {
             Some(n) => (n, DriveMode::Continuous),
             None => (self.shards.max(1) as usize, DriveMode::OnDemand),
         };
-        let mut frontend = Frontend::new(server, threads, drive_mode)?;
+        let mut frontend = Frontend::new(server, threads, drive_mode);
         let fresh = frontend.boot()?;
         let mut admin =
             AdminHandle::new_deterministic(&world, self.clients, self.quorum, self.seed);

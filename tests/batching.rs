@@ -5,6 +5,7 @@
 
 mod common;
 
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use common::{all_modes, mk_client, mk_server, Mode};
@@ -170,12 +171,26 @@ fn crash_mid_batch_recovery(mode: Mode) {
 /// submission order, even when one shard's queue is much deeper than
 /// the other's. (The client completes replies against its oldest
 /// pending operation, so any reordering trips the echo check as a
-/// violation.)
+/// violation.) The test plays the host's demux itself: it routes each
+/// reply by client id into that client's own queue, in the order the
+/// server returned them.
 fn replies_ordered_per_client_under_fanout(mode: Mode) {
-    use lcm::core::transport::Hub;
-    let (server, mut clients) = setup(mode, 10, 4, 16_000);
-    let mut hub = Hub::new(server);
-    let ports: Vec<_> = clients.iter().map(|c| hub.connect(c.lcm().id())).collect();
+    let (mut server, mut clients) = setup(mode, 10, 4, 16_000);
+    let mut inboxes: BTreeMap<ClientId, VecDeque<Vec<u8>>> = clients
+        .iter()
+        .map(|c| (c.lcm().id(), VecDeque::new()))
+        .collect();
+    fn route(
+        inboxes: &mut BTreeMap<ClientId, VecDeque<Vec<u8>>>,
+        replies: Vec<(ClientId, Vec<u8>)>,
+    ) {
+        for (id, wire) in replies {
+            inboxes
+                .get_mut(&id)
+                .expect("every reply names a known client")
+                .push_back(wire);
+        }
+    }
 
     // Two keys on different shards when sharded (any two keys when
     // not): k_busy's shard also absorbs filler traffic from the other
@@ -197,6 +212,7 @@ fn replies_ordered_per_client_under_fanout(mode: Mode) {
 
     let (observer, fillers) = clients.split_at_mut(1);
     let observer = &mut observer[0];
+    let observer_id = observer.lcm().id();
 
     // Nine filler clients each queue one op on the busy key's shard
     // (batch limit 4 ⇒ three processing rounds there), all before the
@@ -205,7 +221,7 @@ fn replies_ordered_per_client_under_fanout(mode: Mode) {
         let wire = c
             .invoke_wire(&KvOp::Put(k_busy.clone(), vec![f as u8]))
             .unwrap();
-        ports[f + 1].send(wire);
+        server.submit(wire);
     }
     // Observer: op 1 to the (deep) busy shard, then op 2 to the idle
     // shard — in flight *together* when the deployment has more than
@@ -213,46 +229,54 @@ fn replies_ordered_per_client_under_fanout(mode: Mode) {
     // shard op 2 follows op 1's completion). The idle shard finishes
     // op 2 in its first round; op 1 waits behind the fillers — yet the
     // replies must come back in submission order.
-    ports[0].send(
+    server.submit(
         observer
             .invoke_wire(&KvOp::Put(k_busy.clone(), b"first".to_vec()))
             .unwrap(),
     );
     let pipelined_second = mode.shards() > 1;
     if pipelined_second {
-        ports[0].send(
+        server.submit(
             observer
                 .invoke_wire(&KvOp::Put(k_idle.clone(), b"second".to_vec()))
                 .unwrap(),
         );
     }
 
-    // One pump processes everything; the hub delivers per-client in
-    // submission order.
-    hub.pump().unwrap();
-    let r1 = ports[0].try_recv().expect("first reply");
+    // One pass processes everything; replies are demuxed per client in
+    // the order the server released them.
+    route(&mut inboxes, server.process_all().unwrap());
+    let r1 = inboxes
+        .get_mut(&observer_id)
+        .unwrap()
+        .pop_front()
+        .expect("first reply");
     let done1 = observer.complete(&r1).unwrap();
     assert_eq!(done1.result, KvResult::Stored);
     if !pipelined_second {
-        ports[0].send(
+        server.submit(
             observer
                 .invoke_wire(&KvOp::Put(k_idle.clone(), b"second".to_vec()))
                 .unwrap(),
         );
-        hub.pump().unwrap();
+        route(&mut inboxes, server.process_all().unwrap());
     }
-    let r2 = ports[0].try_recv().expect("second reply");
+    let r2 = inboxes
+        .get_mut(&observer_id)
+        .unwrap()
+        .pop_front()
+        .expect("second reply");
     let done2 = observer.complete(&r2).unwrap();
     assert_eq!(done2.result, KvResult::Stored);
     assert!(!observer.lcm().has_pending());
     assert!(!observer.lcm().is_halted());
-    // Filler replies all routed to their own ports.
-    for (f, c) in fillers.iter_mut().enumerate() {
-        while let Some(wire) = ports[f + 1].try_recv() {
+    // Filler replies all routed to their own queues.
+    for c in fillers.iter_mut() {
+        let inbox = inboxes.get_mut(&c.lcm().id()).unwrap();
+        while let Some(wire) = inbox.pop_front() {
             c.complete(&wire).unwrap();
         }
     }
-    assert_eq!(hub.dropped_replies(), 0);
 }
 
 all_modes!(

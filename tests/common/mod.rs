@@ -214,10 +214,11 @@ pub fn mk_server<F: Functionality + 'static>(
         Mode::Frontend { shards, pipelined } => {
             let sharded =
                 shard::build_sharded::<F>(world, platform_base, storage, batch, shards, pipelined);
-            Box::new(
-                Frontend::new(sharded, FRONTEND_THREADS, DriveMode::OnDemand)
-                    .expect("sharded servers always expose a transport plane"),
-            )
+            Box::new(Frontend::new(
+                sharded,
+                FRONTEND_THREADS,
+                DriveMode::OnDemand,
+            ))
         }
         Mode::Replicated {
             shards,

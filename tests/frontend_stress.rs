@@ -71,7 +71,7 @@ fn build_fleet(pipelined: bool, seed: u64) -> Fleet {
         SHARDS,
         pipelined,
     );
-    let mut fe = Frontend::new(server, DRIVER_THREADS, DriveMode::Continuous).unwrap();
+    let mut fe = Frontend::new(server, DRIVER_THREADS, DriveMode::Continuous);
     assert!(fe.boot().unwrap());
     let ids: Vec<ClientId> = (1..=CLIENT_THREADS).map(ClientId).collect();
     let mut admin = AdminHandle::new_deterministic(&world, ids.clone(), Quorum::Majority, seed);
