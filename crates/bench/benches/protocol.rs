@@ -73,7 +73,7 @@ fn bench_client_invoke_encoding(c: &mut Criterion) {
 
 fn bench_majority_stable(c: &mut Criterion) {
     let mut group = c.benchmark_group("majority_stable");
-    for n in [4usize, 16, 64, 256] {
+    for n in [4usize, 16, 64, 256, 1024] {
         let v: VMap = (0..n as u32)
             .map(|i| {
                 (

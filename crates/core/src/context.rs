@@ -30,7 +30,7 @@ use crate::functionality::Functionality;
 use crate::routing::{slice_of, SliceTable};
 use crate::stability::{latest_entry, stable_with, CachedReply, Quorum, VEntry, VMap};
 use crate::types::{ChainValue, ClientId, SeqNo};
-use crate::wire::{InvokeMsg, ReplyMsg};
+use crate::wire::{InvokeMsg, ReadReplyMsg, ReadStatus, ReplyMsg};
 use crate::{LcmError, Result, Violation};
 
 /// AAD label for the key blob (sealed under the TEE sealing key `kS`).
@@ -601,6 +601,13 @@ pub struct TrustedContext<F: Functionality> {
     /// stable sequence numbers never decrease" (§3.2.2), so `T`
     /// enforces it by reporting `max(computed, floor)` and persisting
     /// the floor with the rest of the protocol state.
+    ///
+    /// Invariant: `stable_floor ≥ stable_with(V)` after every mutation
+    /// of `V`. Execution, client removal, restore, delta replay and
+    /// migration import each end in [`Self::refresh_stable_floor`];
+    /// adding a client (`ta = t = 0`) cannot raise `stable_with(V)`.
+    /// So the floor *is* the current watermark: every reply and
+    /// `AdminOp::Status` report it without rescanning `V`.
     stable_floor: SeqNo,
     admin_seq: u64,
     quorum: Quorum,
@@ -840,16 +847,7 @@ impl<F: Functionality> TrustedContext<F> {
             self.v.insert(client, entry);
         }
         self.f.apply_delta(&f_delta).map_err(LcmError::from)?;
-        match latest_entry(&self.v) {
-            Some(e) => {
-                self.t = e.t;
-                self.h = e.h;
-            }
-            None => {
-                self.t = SeqNo::ZERO;
-                self.h = ChainValue::GENESIS;
-            }
-        }
+        self.resume_from_v();
         self.persist_anchor = lcm_crypto::sha256::digest_parts(&[ANCHOR_DELTA, plain]);
         Ok(())
     }
@@ -1111,8 +1109,8 @@ impl<F: Functionality> TrustedContext<F> {
         };
         self.v.insert(msg.client, q_entry);
         self.touched.insert(msg.client);
-        let q = stable_with(&self.v, self.quorum).max(self.stable_floor);
-        self.stable_floor = q;
+        self.refresh_stable_floor();
+        let q = self.stable_floor;
 
         let reply = ReplyMsg {
             t: self.t,
@@ -1273,61 +1271,41 @@ impl<F: Functionality> TrustedContext<F> {
                 return Err(LcmError::UnknownClient(client));
             }
         };
-        let reply = if future_epoch {
+        let (status, result) = if future_epoch {
             // This member has not installed the table the client
             // routes by yet: honest adoption lag, retryable.
-            crate::wire::ReadReplyMsg {
-                t: entry_t,
-                q: self.stable_floor,
-                h: entry_h,
-                hc_echo: msg.hc,
-                status: crate::wire::ReadStatus::Behind,
-                result: Vec::new(),
-            }
+            (ReadStatus::Behind, Vec::new())
         } else if moved {
             // The slice migrated away since the client's table: hand
             // back the current table so the client re-pins. No context
             // stamp — reads are idempotent, so unlike the write path
             // there is nothing an exactly-once replay could lose.
-            crate::wire::ReadReplyMsg {
-                t: entry_t,
-                q: self.stable_floor,
-                h: entry_h,
-                hc_echo: msg.hc,
-                status: crate::wire::ReadStatus::Moved,
-                result: self.table.to_bytes(),
-            }
+            (ReadStatus::Moved, self.table.to_bytes())
         } else if entry_t == msg.tc && entry_h == msg.hc {
             // Up to date for this client: execute the read. The
             // `is_readonly` contract guarantees `exec` leaves the
             // service state untouched.
-            let result = self.f.exec(&msg.op);
-            crate::wire::ReadReplyMsg {
-                t: entry_t,
-                q: stable_with(&self.v, self.quorum).max(self.stable_floor),
-                h: entry_h,
-                hc_echo: msg.hc,
-                status: crate::wire::ReadStatus::Fresh,
-                result,
-            }
+            (ReadStatus::Fresh, self.f.exec(&msg.op))
         } else if entry_t < msg.tc {
             // Honest replication lag: this member has not installed
             // the client's latest acknowledged write yet. Retryable —
             // never a violation.
-            crate::wire::ReadReplyMsg {
-                t: entry_t,
-                q: self.stable_floor,
-                h: entry_h,
-                hc_echo: msg.hc,
-                status: crate::wire::ReadStatus::Behind,
-                result: Vec::new(),
-            }
+            (ReadStatus::Behind, Vec::new())
         } else {
             return Err(self.halt(Violation::ContextMismatch {
                 client: msg.client,
                 claimed: msg.tc,
                 recorded: entry_t,
             }));
+        };
+        // A read leaves `V` alone, so the floor is the watermark.
+        let reply = ReadReplyMsg {
+            t: entry_t,
+            q: self.stable_floor,
+            h: entry_h,
+            hc_echo: msg.hc,
+            status,
+            result,
         };
         let nonce = self.next_nonce();
         let mut scratch = std::mem::take(&mut self.scratch);
@@ -1561,17 +1539,7 @@ impl<F: Functionality> TrustedContext<F> {
         if let Some(keys) = self.keys.as_mut() {
             keys.rotate_kc(k_c);
         }
-        // (·, t, h) ← V[argmax(V)]
-        match latest_entry(&self.v) {
-            Some(e) => {
-                self.t = e.t;
-                self.h = e.h;
-            }
-            None => {
-                self.t = SeqNo::ZERO;
-                self.h = ChainValue::GENESIS;
-            }
-        }
+        self.resume_from_v();
         Ok(())
     }
 
@@ -1623,6 +1591,9 @@ impl<F: Functionality> TrustedContext<F> {
                 if self.v.remove(&id).is_none() {
                     AdminReply::Rejected(format!("client {id} not in group"))
                 } else {
+                    // Dropping a lagging member can make a higher
+                    // acknowledgement stable.
+                    self.refresh_stable_floor();
                     self.keys.as_mut().expect("ready").rotate_kc(new_kc);
                     AdminReply::Ok
                 }
@@ -1633,7 +1604,7 @@ impl<F: Functionality> TrustedContext<F> {
             }
             AdminOp::Status => AdminReply::Status {
                 t: self.t,
-                q: stable_with(&self.v, self.quorum).max(self.stable_floor),
+                q: self.stable_floor,
                 n: self.v.len() as u32,
             },
         };
@@ -1766,16 +1737,7 @@ impl<F: Functionality> TrustedContext<F> {
         self.table = table;
         self.v = v;
         self.f.restore(&snapshot).map_err(LcmError::from)?;
-        match latest_entry(&self.v) {
-            Some(e) => {
-                self.t = e.t;
-                self.h = e.h;
-            }
-            None => {
-                self.t = SeqNo::ZERO;
-                self.h = ChainValue::GENESIS;
-            }
-        }
+        self.resume_from_v();
         self.phase = Phase::Ready;
         self.persist_blobs()
     }
@@ -1990,6 +1952,22 @@ impl<F: Functionality> TrustedContext<F> {
         self.persist_blobs()
     }
 
+    /// Raises the stable floor to `stable_with(V)`; called after every
+    /// mutation of `V` that can raise it, to keep the invariant
+    /// documented on the field.
+    fn refresh_stable_floor(&mut self) {
+        self.stable_floor = stable_with(&self.v, self.quorum).max(self.stable_floor);
+    }
+
+    /// Re-derives the state `V` determines after `V` was replaced or
+    /// patched by restore, delta replay or migration import:
+    /// `(·, t, h) ← V[argmax(V)]` and the stable floor.
+    fn resume_from_v(&mut self) {
+        (self.t, self.h) =
+            latest_entry(&self.v).map_or((SeqNo::ZERO, ChainValue::GENESIS), |e| (e.t, e.h));
+        self.refresh_stable_floor();
+    }
+
     fn require_ready(&self) -> Result<()> {
         match self.phase {
             Phase::Ready => Ok(()),
@@ -2023,7 +2001,7 @@ impl<F: Functionality> TrustedContext<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::functionality::AppendLog;
+    use crate::functionality::{AppendLog, Counter};
     use lcm_tee::measurement::Measurement;
     use lcm_tee::world::TeeWorld;
 
@@ -2050,12 +2028,19 @@ mod tests {
     }
 
     fn provisioned_context(world: &TeeWorld) -> (TrustedContext<AppendLog>, PersistBlobs) {
-        let mut ctx = TrustedContext::<AppendLog>::new(services(world, 1));
+        provisioned(world, provision_payload(), false)
+    }
+
+    fn provisioned<F: Functionality>(
+        world: &TeeWorld,
+        payload: ProvisionPayload,
+        want_deltas: bool,
+    ) -> (TrustedContext<F>, PersistBlobs) {
+        let mut ctx = TrustedContext::<F>::new(services(world, 1));
         assert_eq!(
-            ctx.init(None, None, false).unwrap(),
+            ctx.init(None, None, want_deltas).unwrap(),
             InitOutcome::NeedProvision
         );
-        let payload = provision_payload();
         let channel =
             AeadKey::from_secret(&world.admin_provision_key(&Measurement::of_program(M_NAME, "1")));
         let sealed = aead::auth_encrypt(&channel, &payload.to_bytes(), LABEL_PROVISION).unwrap();
@@ -2094,8 +2079,8 @@ mod tests {
         ReplyMsg::from_bytes(&plain).unwrap()
     }
 
-    fn invoke(
-        ctx: &mut TrustedContext<AppendLog>,
+    fn invoke<F: Functionality>(
+        ctx: &mut TrustedContext<F>,
         client: u32,
         tc: SeqNo,
         hc: ChainValue,
@@ -2186,6 +2171,161 @@ mod tests {
             .unwrap();
         let r4 = invoke(&mut ctx2, 1, r3.t, r3.h, b"d").unwrap();
         assert!(r4.q >= SeqNo(1), "floor must persist: {:?}", r4.q);
+    }
+
+    /// A verified read through `serve_read`, pinned to replica 0 at
+    /// routing epoch 0.
+    fn read<F: Functionality>(
+        ctx: &mut TrustedContext<F>,
+        client: u32,
+        tc: SeqNo,
+        hc: ChainValue,
+        op: &[u8],
+    ) -> ReadReplyMsg {
+        let client = ClientId(client);
+        let route = crate::shard::route_for(client, None);
+        let msg = crate::wire::ReadMsg {
+            client,
+            tc,
+            hc,
+            op: op.to_vec(),
+        };
+        let hint = crate::wire::ReadHint {
+            client,
+            route,
+            seq: tc.0,
+            replica: 0,
+            epoch: 0,
+        };
+        let mut wire = Vec::new();
+        hint.encode_to(&mut wire);
+        let aad = read_aad(client, route, tc.0, 0, 0);
+        wire.extend(aead::auth_encrypt(&client_key(), &msg.to_bytes(), &aad).unwrap());
+        let sealed = ctx.serve_read(&wire).unwrap();
+        let aad = read_reply_aad(client, route, tc.0, 0, 0);
+        let plain = aead::auth_decrypt(&client_key(), &sealed, &aad).unwrap();
+        ReadReplyMsg::from_bytes(&plain).unwrap()
+    }
+
+    fn admin<F: Functionality>(
+        ctx: &mut TrustedContext<F>,
+        seq: u64,
+        op: AdminOp,
+    ) -> (AdminReply, PersistBlobs) {
+        let admin_key = AeadKey::from_secret(&SecretKey::from_bytes([3u8; 32]));
+        let mut w = Writer::new();
+        w.put_u64(seq);
+        op.encode(&mut w);
+        let wire = aead::auth_encrypt(&admin_key, &w.into_bytes(), LABEL_ADMIN).unwrap();
+        let (reply_wire, blobs) = ctx.handle_admin(&wire).unwrap();
+        let plain = aead::auth_decrypt(&admin_key, &reply_wire, LABEL_ADMIN).unwrap();
+        let mut r = Reader::new(&plain);
+        assert_eq!(r.get_u64().unwrap(), seq);
+        (AdminReply::decode(&mut r).unwrap(), blobs)
+    }
+
+    /// Four clients under a majority quorum (3 of 4). Clients 1 and 2
+    /// run ahead acknowledging their own ops, client 3 executed once
+    /// and lags, client 4 never invoked: `T_3 = 3` admits no
+    /// acknowledgement above #3, so the watermark stays at the 2 it
+    /// reached earlier. Removing client 3 leaves a quorum of 2 of 3 over
+    /// `t ∈ {6, 7, 0}`, so `T_2 = 6` and client 2's acknowledged #5
+    /// becomes stable — with no write after the removal.
+    ///
+    /// Returns the context, the checkpoint the removal sealed, and
+    /// client 1's latest reply.
+    fn lagging_member_removed(
+        world: &TeeWorld,
+        want_deltas: bool,
+    ) -> (TrustedContext<Counter>, PersistBlobs, ReplyMsg) {
+        let payload = ProvisionPayload {
+            clients: (1..=4).map(ClientId).collect(),
+            ..provision_payload()
+        };
+        let (mut ctx, _) = provisioned::<Counter>(world, payload, want_deltas);
+        let inc = Counter::inc_op(b"x", 1);
+        let g = ChainValue::GENESIS;
+        let c1 = invoke(&mut ctx, 1, SeqNo::ZERO, g, &inc).unwrap();
+        let c2 = invoke(&mut ctx, 2, SeqNo::ZERO, g, &inc).unwrap();
+        invoke(&mut ctx, 3, SeqNo::ZERO, g, &inc).unwrap();
+        let c1 = invoke(&mut ctx, 1, c1.t, c1.h, &inc).unwrap();
+        let c2 = invoke(&mut ctx, 2, c2.t, c2.h, &inc).unwrap();
+        let c1 = invoke(&mut ctx, 1, c1.t, c1.h, &inc).unwrap();
+        let c2 = invoke(&mut ctx, 2, c2.t, c2.h, &inc).unwrap();
+        assert_eq!((c1.t, c2.t), (SeqNo(6), SeqNo(7)));
+        assert_eq!(c2.q, SeqNo(2), "client 3 holds the watermark back");
+
+        // Rotate kC to its current value so the test's client key
+        // stays valid.
+        let same_kc = SecretKey::from_bytes([2u8; 32]);
+        let (reply, blobs) = admin(&mut ctx, 1, AdminOp::RemoveClient(ClientId(3), same_kc));
+        assert_eq!(reply, AdminReply::Ok);
+        (ctx, blobs, c1)
+    }
+
+    #[test]
+    fn removing_a_lagging_client_raises_reads_and_status_without_a_write() {
+        let world = world();
+        let (mut ctx, _, c1) = lagging_member_removed(&world, false);
+        let fresh = read(&mut ctx, 1, c1.t, c1.h, &Counter::read_op(b"x"));
+        assert_eq!(fresh.status, ReadStatus::Fresh);
+        assert_eq!(fresh.q, SeqNo(5));
+        let (status, _) = admin(&mut ctx, 2, AdminOp::Status);
+        assert_eq!(
+            status,
+            AdminReply::Status {
+                t: SeqNo(7),
+                q: SeqNo(5),
+                n: 3
+            }
+        );
+    }
+
+    #[test]
+    fn first_read_after_restart_reports_the_pre_restart_watermark() {
+        // Each restart path must recompute the watermark from the `V`
+        // it installs: a blob sealed by a build that did not refresh
+        // the floor on membership changes carries a floor below
+        // `stable_with(V)`. Sealing with the floor wound back to that
+        // value checks each path on its own.
+        let world = world();
+        let stale = SeqNo(2);
+        let op = Counter::read_op(b"x");
+        let restarted = |key_blob: &[u8], state_blob: &[u8]| {
+            let mut ctx = TrustedContext::<Counter>::new(services(&world, 1));
+            let outcome = ctx.init(Some(key_blob), Some(state_blob), true).unwrap();
+            assert_eq!(outcome, InitOutcome::Resumed);
+            ctx
+        };
+
+        // Checkpoint.
+        let (mut ctx, _, c1) = lagging_member_removed(&world, false);
+        let before = read(&mut ctx, 1, c1.t, c1.h, &op).q;
+        assert_eq!(before, SeqNo(5));
+        ctx.stable_floor = stale;
+        let ckpt = ctx.persist_blobs().unwrap();
+        let mut ctx = restarted(&ckpt.key_blob, &ckpt.state_blob);
+        assert_eq!(read(&mut ctx, 1, c1.t, c1.h, &op).q, before, "checkpoint");
+
+        // Delta bundle: the checkpoint the removal sealed, then a
+        // delta carrying the wound-back floor.
+        let (mut ctx, ckpt, c1) = lagging_member_removed(&world, true);
+        ctx.stable_floor = stale;
+        let delta = ctx.persist_batch_blobs().unwrap();
+        assert_eq!(delta.state_blob[0], lcm_storage::BLOB_KIND_DELTA);
+        let bundle =
+            lcm_storage::make_bundle(&ckpt.state_blob, std::iter::once(&delta.state_blob[..]));
+        let mut ctx = restarted(&ckpt.key_blob, &bundle);
+        assert_eq!(read(&mut ctx, 1, c1.t, c1.h, &op).q, before, "delta bundle");
+
+        // Migration ticket.
+        let (mut origin, _, c1) = lagging_member_removed(&world, false);
+        origin.stable_floor = stale;
+        let ticket = origin.export_migration().unwrap();
+        let mut target = TrustedContext::<Counter>::new(services(&world, 2));
+        target.init(None, None, false).unwrap();
+        target.import_migration(&ticket).unwrap();
+        assert_eq!(read(&mut target, 1, c1.t, c1.h, &op).q, before, "migration");
     }
 
     #[test]

@@ -10,6 +10,14 @@
 //! `majority-stable(V)` follows the paper's definition: *"the largest
 //! acknowledged sequence number in V that is less than or equal to more
 //! than n/2 sequence numbers in V"*.
+//!
+//! Computing it needs no count per candidate: at least `k` of the `t`s
+//! in `V` reach a value `a` exactly when `a ≤ T_k`, the `k`-th largest
+//! `t`. [`stable_with`] therefore selects `T_k` and returns the largest
+//! `ta ≤ T_k`, O(n) in the number of clients. The trusted context calls
+//! it after each change to `V` and keeps the result as its stable
+//! floor, so reads and status queries report the watermark without
+//! recomputing it.
 
 use std::collections::BTreeMap;
 
@@ -224,25 +232,32 @@ impl WireCodec for Quorum {
     }
 }
 
-/// Generalization of [`majority_stable`] to an arbitrary [`Quorum`].
+/// Generalization of [`majority_stable`] to an arbitrary [`Quorum`]:
+/// the largest `ta` in `V` such that at least `k = quorum.required(n)`
+/// of the `t`s in `V` are `≥ ta`.
+///
+/// Those are exactly the `ta ≤ T_k`, where `T_k` is the `k`-th largest
+/// `t`: at least `k` entries reach any value up to `T_k`, and at most
+/// `k - 1` reach anything above it. So one selection for `T_k` and one
+/// pass over the `ta`s answer the query in O(n) time for `n` clients.
+///
+/// Returns [`SeqNo::ZERO`] for an empty map or when no acknowledged
+/// sequence number qualifies.
 pub fn stable_with(v: &VMap, quorum: Quorum) -> SeqNo {
     let n = v.len();
     if n == 0 {
         return SeqNo::ZERO;
     }
-    let required = quorum.required(n);
-    let mut best = SeqNo::ZERO;
-    for entry in v.values() {
-        let a = entry.ta;
-        if a <= best {
-            continue;
-        }
-        let count = v.values().filter(|e| e.t >= a).count();
-        if count >= required {
-            best = a;
-        }
-    }
-    best
+    // `required` lies in 1..=n for n ≥ 1, and the k-th largest of n
+    // values sits at ascending index n - k.
+    let k = quorum.required(n);
+    let mut ts: Vec<SeqNo> = v.values().map(|e| e.t).collect();
+    let t_k = *ts.select_nth_unstable(n - k).1;
+    v.values()
+        .map(|e| e.ta)
+        .filter(|&ta| ta <= t_k)
+        .max()
+        .unwrap_or(SeqNo::ZERO)
 }
 
 /// The `argmax(V)` of Alg. 2: the entry holding the most recent
@@ -254,6 +269,7 @@ pub fn latest_entry(v: &VMap) -> Option<&VEntry> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn entry(ta: u64, t: u64) -> VEntry {
         VEntry {
@@ -269,6 +285,67 @@ mod tests {
             .iter()
             .map(|&(id, ta, t)| (ClientId(id), entry(ta, t)))
             .collect()
+    }
+
+    /// The definition, evaluated literally: count the `t`s that reach
+    /// each candidate `ta`. Quadratic; the oracle for [`stable_with`].
+    fn stable_with_scan(v: &VMap, quorum: Quorum) -> SeqNo {
+        let n = v.len();
+        if n == 0 {
+            return SeqNo::ZERO;
+        }
+        let required = quorum.required(n);
+        let mut best = SeqNo::ZERO;
+        for entry in v.values() {
+            let a = entry.ta;
+            if a <= best {
+                continue;
+            }
+            let count = v.values().filter(|e| e.t >= a).count();
+            if count >= required {
+                best = a;
+            }
+        }
+        best
+    }
+
+    /// Random `V`s of up to 300 clients with `ta ≤ t`: about a quarter
+    /// never invoked (`t = 0`), a third drawn from a narrow range so
+    /// `t`s tie often, the rest spread wide.
+    fn arb_vmap() -> impl Strategy<Value = VMap> {
+        proptest::collection::vec((0u8..12, 0u64..16, 0u64..100_000, any::<u64>()), 0..=300)
+            .prop_map(|raw| {
+                raw.into_iter()
+                    .enumerate()
+                    .map(|(i, (kind, narrow, wide, ack))| {
+                        let t = match kind {
+                            0..=2 => 0,
+                            3..=6 => narrow,
+                            _ => wide,
+                        };
+                        let ta = ack % (t + 1);
+                        (ClientId(i as u32), entry(ta, t))
+                    })
+                    .collect()
+            })
+    }
+
+    fn arb_quorum() -> impl Strategy<Value = Quorum> {
+        prop_oneof![
+            Just(Quorum::Majority),
+            Just(Quorum::All),
+            Just(Quorum::AtLeast(0)),
+            (1u32..=320).prop_map(Quorum::AtLeast),
+            Just(Quorum::AtLeast(u32::MAX)),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn selection_matches_quadratic_scan(v in arb_vmap(), quorum in arb_quorum()) {
+            prop_assert_eq!(stable_with(&v, quorum), stable_with_scan(&v, quorum));
+        }
     }
 
     #[test]
