@@ -941,14 +941,8 @@ impl<F: Functionality> TrustedContext<F> {
         let Some((hint, ciphertext)) = crate::wire::RouteHint::peel(wire) else {
             return Err(self.halt(Violation::BadAuthentication));
         };
-        let aead_c = self
-            .keys
-            .as_ref()
-            .expect("ready implies keys")
-            .aead_c
-            .clone();
         let aad = invoke_aad(hint.client, hint.route, hint.seq, hint.epoch);
-        let plain = match aead::auth_decrypt(&aead_c, ciphertext, &aad) {
+        let plain = match aead::auth_decrypt(self.aead_c(), ciphertext, &aad) {
             Ok(p) => p,
             Err(_) => return Err(self.halt(Violation::BadAuthentication)),
         };
@@ -1141,18 +1135,12 @@ impl<F: Functionality> TrustedContext<F> {
         epoch: u64,
         reply: &ReplyMsg,
     ) -> Result<Vec<u8>> {
-        let aead_c = self
-            .keys
-            .as_ref()
-            .expect("ready implies keys")
-            .aead_c
-            .clone();
         let nonce = self.next_nonce();
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
         reply.encode(&mut scratch);
         let sealed = aead::auth_encrypt_with_nonce(
-            &aead_c,
+            self.aead_c(),
             &nonce,
             scratch.as_slice(),
             // The reply echoes the *request's* routing epoch — the
@@ -1197,12 +1185,6 @@ impl<F: Functionality> TrustedContext<F> {
             return Err(self.halt(Violation::BadAuthentication));
         };
         let identity = self.identity.expect("ready implies identity");
-        let aead_c = self
-            .keys
-            .as_ref()
-            .expect("ready implies keys")
-            .aead_c
-            .clone();
         let aad = read_aad(
             hint.client,
             hint.route,
@@ -1210,7 +1192,7 @@ impl<F: Functionality> TrustedContext<F> {
             identity.replica,
             hint.epoch,
         );
-        let plain = match aead::auth_decrypt(&aead_c, ciphertext, &aad) {
+        let plain = match aead::auth_decrypt(self.aead_c(), ciphertext, &aad) {
             Ok(p) => p,
             Err(_) => return Err(self.halt(Violation::BadAuthentication)),
         };
@@ -1312,7 +1294,7 @@ impl<F: Functionality> TrustedContext<F> {
         scratch.clear();
         reply.encode(&mut scratch);
         let sealed = aead::auth_encrypt_with_nonce(
-            &aead_c,
+            self.aead_c(),
             &nonce,
             scratch.as_slice(),
             &read_reply_aad(
@@ -1974,6 +1956,12 @@ impl<F: Functionality> TrustedContext<F> {
             Phase::Halted => Err(LcmError::Halted),
             _ => Err(LcmError::NotProvisioned),
         }
+    }
+
+    /// The communication key `kC` as an AEAD key, borrowed for one
+    /// seal or open.
+    fn aead_c(&self) -> &AeadKey {
+        &self.keys.as_ref().expect("ready implies keys").aead_c
     }
 
     fn halt(&mut self, violation: Violation) -> LcmError {

@@ -558,6 +558,12 @@ impl<S: BatchServer> ShardCore<S> {
         self.book.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// Locks every lane, in index order (the one order any caller
+    /// holding more than one lane may use).
+    fn lock_lanes(&self) -> Vec<MutexGuard<'_, Lane<S>>> {
+        self.shards.iter().map(|s| lock(&s.lane)).collect()
+    }
+
     fn routing(&self) -> MutexGuard<'_, Vec<SliceTable>> {
         self.routing.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -1235,8 +1241,14 @@ impl<S: BatchServer + 'static> ShardedServer<S> {
     /// owner's table to the next epoch) and records the pending
     /// handshake. Fails without touching any enclave if a move is
     /// already in flight, the target is out of range, or the target
-    /// already owns the slice.
-    fn begin_slice_move(&mut self, slice: u32, to: u32) -> Result<()> {
+    /// already owns the slice. `lanes` is every lane, locked (see
+    /// [`ShardedServer::resume_slice_migration`]).
+    fn begin_slice_move(
+        &mut self,
+        lanes: &mut [MutexGuard<'_, Lane<S>>],
+        slice: u32,
+        to: u32,
+    ) -> Result<()> {
         if let Some(p) = &self.pending_slice {
             return Err(LcmError::Tee(format!(
                 "slice {} -> shard {} migration already in flight; \
@@ -1244,7 +1256,7 @@ impl<S: BatchServer + 'static> ShardedServer<S> {
                 p.slice, p.to
             )));
         }
-        let n = self.core.shards.len() as u32;
+        let n = lanes.len() as u32;
         if slice >= SLICE_COUNT {
             return Err(LcmError::Tee(format!(
                 "migrate_slice({slice}) out of range ({SLICE_COUNT} slices)"
@@ -1263,10 +1275,7 @@ impl<S: BatchServer + 'static> ShardedServer<S> {
             )));
         }
         let next_table = table.moved(slice, to).expect("bounds checked above");
-        let (ticket, bulletin) = {
-            let mut lane = lock(&self.core.shards[from as usize].lane);
-            lane.server.export_slice(slice, to)?
-        };
+        let (ticket, bulletin) = lanes[from as usize].server.export_slice(slice, to)?;
         self.pending_slice = Some(PendingSliceMove {
             slice,
             from,
@@ -1288,17 +1297,31 @@ impl<S: BatchServer + 'static> ShardedServer<S> {
     /// enclave-side step is idempotent, so re-delivering a step that
     /// already landed is safe.
     ///
-    /// The origin lane is held for the whole handshake: the origin is
-    /// the only enclave able to emit redirect stamps revealing the new
-    /// epoch, and it must stay silent until every shard has installed
-    /// the new table — otherwise a client could chase the redirect
-    /// into a shard that has not adopted yet and trip its future-epoch
-    /// rollback alarm on an honest deployment.
+    /// Every lane is held for the whole handshake. Each enclave that
+    /// has installed the new table can reveal its epoch in a redirect
+    /// stamp — the origin for the moved slice, a bystander for any
+    /// slice that moved earlier — so none may serve a wire until every
+    /// shard holds the table. Otherwise a client could chase the
+    /// redirect into a shard that has not installed it yet and trip
+    /// that shard's future-epoch rollback alarm on an honest
+    /// deployment.
     pub fn resume_slice_migration(&mut self) -> Result<()> {
-        let Some(mut pending) = self.pending_slice.take() else {
+        if self.pending_slice.is_none() {
             return Err(LcmError::Tee("no slice migration in flight".into()));
-        };
-        match Self::drive_slice_move(&self.core, &mut pending) {
+        }
+        let core = Arc::clone(&self.core);
+        let mut lanes = core.lock_lanes();
+        self.finish_slice_move(&mut lanes)
+    }
+
+    /// Drives the pending handshake over the locked `lanes` and, once
+    /// it has landed, publishes the new table to the host router.
+    fn finish_slice_move(&mut self, lanes: &mut [MutexGuard<'_, Lane<S>>]) -> Result<()> {
+        let mut pending = self
+            .pending_slice
+            .take()
+            .expect("callers hold a pending move");
+        match Self::drive_slice_move(lanes, &mut pending) {
             Ok(()) => {
                 self.core.routing().push(pending.next_table);
                 Ok(())
@@ -1310,19 +1333,19 @@ impl<S: BatchServer + 'static> ShardedServer<S> {
         }
     }
 
-    fn drive_slice_move(core: &ShardCore<S>, pending: &mut PendingSliceMove) -> Result<()> {
-        let _origin = lock(&core.shards[pending.from as usize].lane);
-        for (i, shard) in core.shards.iter().enumerate() {
+    fn drive_slice_move(
+        lanes: &mut [MutexGuard<'_, Lane<S>>],
+        pending: &mut PendingSliceMove,
+    ) -> Result<()> {
+        for (i, lane) in lanes.iter_mut().enumerate() {
             if i == pending.from as usize || i == pending.to as usize || pending.adopted[i] {
                 continue;
             }
-            lock(&shard.lane)
-                .server
-                .adopt_table(pending.bulletin.clone())?;
+            lane.server.adopt_table(pending.bulletin.clone())?;
             pending.adopted[i] = true;
         }
         if !pending.imported {
-            lock(&core.shards[pending.to as usize].lane)
+            lanes[pending.to as usize]
                 .server
                 .import_slice(pending.ticket.clone())?;
             pending.imported = true;
@@ -1341,8 +1364,7 @@ impl<S: BatchServer + 'static> ShardedServer<S> {
         let Some((slice, to)) = plan_rebalance(&heat, &table) else {
             return Ok(None);
         };
-        self.begin_slice_move(slice, to)?;
-        self.resume_slice_migration()?;
+        BatchServer::migrate_slice(self, slice, to)?;
         Ok(Some((slice, to)))
     }
 }
@@ -1669,8 +1691,13 @@ impl<S: BatchServer + 'static> BatchServer for ShardedServer<S> {
     }
 
     fn migrate_slice(&mut self, slice: u32, to: u32) -> Result<()> {
-        self.begin_slice_move(slice, to)?;
-        self.resume_slice_migration()
+        // One hold of every lane spans the export and the whole
+        // handshake: in between, the origin already knows the new epoch
+        // (see `resume_slice_migration`).
+        let core = Arc::clone(&self.core);
+        let mut lanes = core.lock_lanes();
+        self.begin_slice_move(&mut lanes, slice, to)?;
+        self.finish_slice_move(&mut lanes)
     }
 
     fn routing_epoch(&self) -> u64 {

@@ -12,9 +12,12 @@
 //! HMAC-SHA-256 over `aad ‖ nonce ‖ ciphertext ‖ len(aad)`** under an
 //! independent MAC subkey (encrypt-then-MAC, the provably-sound order).
 //! Both subkeys are derived from one 32-byte [`SecretKey`] via HKDF with
-//! distinct labels. The security contract visible to the protocol —
-//! IND-CCA confidentiality plus ciphertext integrity with associated
-//! data — is the same as AES-GCM's.
+//! distinct labels. The MAC key schedule is precomputed per RFC 2104 §4:
+//! an [`AeadKey`] absorbs `K⊕ipad` and `K⊕opad` once, at construction,
+//! and every tag starts from a copy of those two SHA-256 midstates, so a
+//! seal or open pays only for its own bytes. The security contract
+//! visible to the protocol — IND-CCA confidentiality plus ciphertext
+//! integrity with associated data — is the same as AES-GCM's.
 //!
 //! Wire layout of a sealed blob: `nonce(12) ‖ ciphertext ‖ tag(32)`.
 
@@ -36,7 +39,11 @@ pub const TAG_LEN: usize = DIGEST_LEN;
 pub const MIN_SEALED_LEN: usize = NONCE_LEN + TAG_LEN;
 
 /// An AEAD key: an encryption subkey and a MAC subkey derived from one
-/// master secret.
+/// master secret, the MAC subkey held as its keyed HMAC state.
+///
+/// Equality compares the encryption subkey and the keyed MAC state;
+/// `Debug` prints neither, and the type is deliberately not
+/// serializable: persist the master [`SecretKey`] instead.
 ///
 /// # Example
 ///
@@ -51,7 +58,7 @@ pub const MIN_SEALED_LEN: usize = NONCE_LEN + TAG_LEN;
 #[derive(Clone, PartialEq, Eq)]
 pub struct AeadKey {
     enc: [u8; 32],
-    mac: [u8; 32],
+    mac: HmacSha256,
 }
 
 impl std::fmt::Debug for AeadKey {
@@ -61,13 +68,14 @@ impl std::fmt::Debug for AeadKey {
 }
 
 impl AeadKey {
-    /// Derives the encryption and MAC subkeys from `master`.
+    /// Derives the encryption and MAC subkeys from `master` and keys
+    /// the HMAC once.
     pub fn from_secret(master: &SecretKey) -> Self {
         let enc = hkdf::derive_key(master, b"lcm-aead", b"enc-subkey");
         let mac = hkdf::derive_key(master, b"lcm-aead", b"mac-subkey");
         AeadKey {
             enc: *enc.as_bytes(),
-            mac: *mac.as_bytes(),
+            mac: HmacSha256::new(mac.as_bytes()),
         }
     }
 }
@@ -143,7 +151,7 @@ fn compute_tag(
     ciphertext: &[u8],
     aad: &[u8],
 ) -> [u8; TAG_LEN] {
-    let mut mac = HmacSha256::new(&key.mac);
+    let mut mac = key.mac.clone();
     mac.update(aad);
     mac.update(nonce);
     mac.update(ciphertext);
@@ -199,6 +207,34 @@ mod tests {
 
     fn key() -> AeadKey {
         AeadKey::from_secret(&SecretKey::from_bytes([0x11; 32]))
+    }
+
+    #[test]
+    fn cached_midstates_match_hmac_from_scratch() {
+        let master = SecretKey::from_bytes([0x11; 32]);
+        let mac_subkey = hkdf::derive_key(&master, b"lcm-aead", b"mac-subkey");
+        let nonce = [3u8; NONCE_LEN];
+        for (aad, ct) in [(&b""[..], &b""[..]), (b"lcm.invoke", &[0xc3; 145])] {
+            let mut framed = Vec::new();
+            framed.extend_from_slice(aad);
+            framed.extend_from_slice(&nonce);
+            framed.extend_from_slice(ct);
+            framed.extend_from_slice(&(aad.len() as u64).to_be_bytes());
+            framed.extend_from_slice(&(ct.len() as u64).to_be_bytes());
+            assert_eq!(
+                compute_tag(&key(), &nonce, ct, aad),
+                crate::hmac::hmac_sha256(mac_subkey.as_bytes(), &framed).0
+            );
+        }
+    }
+
+    #[test]
+    fn key_equality_and_redaction() {
+        let other = AeadKey::from_secret(&SecretKey::from_bytes([0x22; 32]));
+        assert_eq!(key(), key());
+        assert_eq!(key(), key().clone());
+        assert_ne!(key(), other);
+        assert_eq!(format!("{:?}", key()), "AeadKey(<redacted>)");
     }
 
     #[test]

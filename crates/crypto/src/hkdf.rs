@@ -27,20 +27,19 @@ pub fn expand(prk: &[u8; DIGEST_LEN], info: &[u8], out: &mut [u8]) -> Result<()>
     if out.len() > 255 * DIGEST_LEN {
         return Err(CryptoError::OutputLengthInvalid);
     }
-    let mut previous: Vec<u8> = Vec::new();
-    let mut offset = 0usize;
-    let mut counter = 1u8;
-    while offset < out.len() {
-        let mut mac = HmacSha256::new(prk);
-        mac.update(&previous);
+    // T(i) = HMAC(prk, T(i-1) ‖ info ‖ i), every block from one keyed state.
+    let keyed = HmacSha256::new(prk);
+    let mut block = [0u8; DIGEST_LEN];
+    for (i, chunk) in out.chunks_mut(DIGEST_LEN).enumerate() {
+        let mut mac = keyed.clone();
+        if i > 0 {
+            mac.update(&block);
+        }
         mac.update(info);
-        mac.update(&[counter]);
-        let block = mac.finalize();
-        let take = (out.len() - offset).min(DIGEST_LEN);
-        out[offset..offset + take].copy_from_slice(&block.as_bytes()[..take]);
-        previous = block.as_bytes().to_vec();
-        offset += take;
-        counter = counter.wrapping_add(1);
+        // At most 255 blocks (checked above), so the counter fits a byte.
+        mac.update(&[i as u8 + 1]);
+        block = mac.finalize().0;
+        chunk.copy_from_slice(&block[..chunk.len()]);
     }
     Ok(())
 }

@@ -24,8 +24,15 @@ const OPAD: u8 = 0x5c;
 
 /// Incremental HMAC-SHA-256 computation.
 ///
+/// [`HmacSha256::new`] absorbs `K⊕ipad` and `K⊕opad` into the inner and
+/// outer hashers. A fresh context is therefore also a *keyed state*: a
+/// caller that MACs many messages under one key builds it once and
+/// clones it per message, which skips those two compressions each time
+/// (RFC 2104 §4). The AEAD tag and HKDF-Expand both work this way. The
+/// two midstates are key material; `Debug` prints neither.
+///
 /// For one-shot use see [`hmac_sha256`].
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct HmacSha256 {
     inner: Sha256,
     outer: Sha256,
@@ -208,6 +215,14 @@ mod tests {
         let mut mac = HmacSha256::new(b"k");
         mac.update(b"m");
         assert!(mac.verify(&tag.as_bytes()[..16]).is_err());
+    }
+
+    #[test]
+    fn debug_redacts_keyed_state() {
+        assert_eq!(
+            format!("{:?}", HmacSha256::new(&[0x42; 32])),
+            "HmacSha256 { .. }"
+        );
     }
 
     #[test]

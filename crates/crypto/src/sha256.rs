@@ -2,10 +2,12 @@
 //!
 //! This is the `hash()` of the LCM paper: a collision-resistant hash used
 //! to build the operation hash chain `h ← hash(h ‖ o ‖ t ‖ i)` inside the
-//! trusted execution context. The implementation is a straightforward,
-//! allocation-free Merkle–Damgård compression loop; it is validated
-//! against the FIPS 180-4 example vectors and a NIST long-message vector
-//! in the module tests.
+//! trusted execution context. The implementation is an allocation-free
+//! Merkle–Damgård loop in safe std whose compression function runs its
+//! 64 rounds fully unrolled over a rolling 16-word message schedule (see
+//! `compress`). It is validated against the FIPS 180-4 example vectors
+//! and a NIST long-message vector in the module tests, and against the
+//! textbook round loop it replaced, kept there as a test-only oracle.
 //!
 //! # Example
 //!
@@ -146,23 +148,21 @@ impl Sha256 {
             self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&input[..take]);
             self.buffer_len += take;
             input = &input[take..];
-            if self.buffer_len == BLOCK_LEN {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
-            }
-            if input.is_empty() {
+            if self.buffer_len < BLOCK_LEN {
                 return;
             }
+            compress(&mut self.state, &self.buffer);
+            self.buffer_len = 0;
         }
 
-        let mut chunks = input.chunks_exact(BLOCK_LEN);
-        for block in &mut chunks {
-            let mut arr = [0u8; BLOCK_LEN];
-            arr.copy_from_slice(block);
-            self.compress(&arr);
+        let mut blocks = input.chunks_exact(BLOCK_LEN);
+        for block in &mut blocks {
+            compress(
+                &mut self.state,
+                block.try_into().expect("chunks_exact yields whole blocks"),
+            );
         }
-        let rest = chunks.remainder();
+        let rest = blocks.remainder();
         self.buffer[..rest.len()].copy_from_slice(rest);
         self.buffer_len = rest.len();
     }
@@ -170,87 +170,104 @@ impl Sha256 {
     /// Completes the hash and returns the digest, consuming the hasher.
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 8-byte big-endian bit length.
-        self.update_padding();
-        let mut len_block = [0u8; 8];
-        len_block.copy_from_slice(&bit_len.to_be_bytes());
-        // After update_padding the buffer has exactly 56 bytes pending.
-        self.buffer[56..64].copy_from_slice(&len_block);
-        let block = self.buffer;
-        self.compress(&block);
+        // Padding: 0x80, zeros, 8-byte big-endian bit length. When the
+        // marker leaves no room for the length field, the padding spills
+        // into a second, otherwise empty block.
+        let n = self.buffer_len;
+        self.buffer[n] = 0x80;
+        self.buffer[n + 1..].fill(0);
+        if n + 1 > BLOCK_LEN - 8 {
+            compress(&mut self.state, &self.buffer);
+            self.buffer = [0u8; BLOCK_LEN];
+        }
+        self.buffer[BLOCK_LEN - 8..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &self.buffer);
 
         let mut out = [0u8; DIGEST_LEN];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (bytes, word) in out.chunks_exact_mut(4).zip(self.state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
         }
         Digest(out)
     }
+}
 
-    fn update_padding(&mut self) {
-        self.buffer[self.buffer_len] = 0x80;
-        let after_marker = self.buffer_len + 1;
-        if after_marker > 56 {
-            // Not enough room for the length field: pad this block out,
-            // compress it, and continue in a fresh block.
-            for b in &mut self.buffer[after_marker..] {
-                *b = 0;
-            }
-            let block = self.buffer;
-            self.compress(&block);
-            self.buffer = [0u8; BLOCK_LEN];
-        } else {
-            for b in &mut self.buffer[after_marker..56] {
-                *b = 0;
-            }
-        }
-        self.buffer_len = 56;
+/// Two hashers are equal when they have absorbed the same input (up to
+/// SHA-256 collisions): the same chaining state, length and pending
+/// bytes. This is what makes keyed [`crate::hmac::HmacSha256`] states,
+/// and so [`crate::aead::AeadKey`]s, comparable.
+impl PartialEq for Sha256 {
+    fn eq(&self, other: &Self) -> bool {
+        self.state == other.state
+            && self.total_len == other.total_len
+            && self.buffer[..self.buffer_len] == other.buffer[..other.buffer_len]
     }
+}
 
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
+impl Eq for Sha256 {}
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ ((!e) & g);
-            let temp1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let temp2 = s0.wrapping_add(maj);
+/// One FIPS 180-4 compression of `block` into `state`.
+///
+/// The 64 rounds are unrolled by macros over a rolling 16-word message
+/// schedule: round `i` reads `w[i % 16]`, which for `i >= 16` first
+/// becomes `W[i] = σ1(W[i-2]) + W[i-7] + σ0(W[i-15]) + W[i-16]` in
+/// place. Instead of shifting the eight working variables every round,
+/// each round passes them to the next under rotated names, so a round
+/// writes only the two that change (`d += T1`, `h = T1 + T2`) and every
+/// index and round constant is a compile-time constant.
+fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+    let mut w = [0u32; 16];
+    for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
 
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(temp1);
-            d = c;
-            c = b;
-            b = a;
-            a = temp1.wrapping_add(temp2);
-        }
+    macro_rules! round {
+        ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $i:expr) => {
+            if $i >= 16 {
+                let w15 = w[($i + 1) % 16];
+                let w2 = w[($i + 14) % 16];
+                let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
+                let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
+                w[$i % 16] = w[$i % 16]
+                    .wrapping_add(s0)
+                    .wrapping_add(w[($i + 9) % 16])
+                    .wrapping_add(s1);
+            }
+            let t1 = $h
+                .wrapping_add($e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25))
+                .wrapping_add(($e & $f) ^ (!$e & $g))
+                .wrapping_add(K[$i])
+                .wrapping_add(w[$i % 16]);
+            let t2 = ($a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22))
+                .wrapping_add(($a & $b) ^ ($a & $c) ^ ($b & $c));
+            $d = $d.wrapping_add(t1);
+            $h = t1.wrapping_add(t2);
+        };
+    }
+    // Eight rounds bring the names back to where they started.
+    macro_rules! eight_rounds {
+        ($i:expr) => {
+            round!(a, b, c, d, e, f, g, h, $i);
+            round!(h, a, b, c, d, e, f, g, $i + 1);
+            round!(g, h, a, b, c, d, e, f, $i + 2);
+            round!(f, g, h, a, b, c, d, e, $i + 3);
+            round!(e, f, g, h, a, b, c, d, $i + 4);
+            round!(d, e, f, g, h, a, b, c, $i + 5);
+            round!(c, d, e, f, g, h, a, b, $i + 6);
+            round!(b, c, d, e, f, g, h, a, $i + 7);
+        };
+    }
+    eight_rounds!(0);
+    eight_rounds!(8);
+    eight_rounds!(16);
+    eight_rounds!(24);
+    eight_rounds!(32);
+    eight_rounds!(40);
+    eight_rounds!(48);
+    eight_rounds!(56);
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
     }
 }
 
@@ -285,6 +302,120 @@ pub fn digest_parts(parts: &[&[u8]]) -> Digest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The straightforward FIPS 180-4 compression that the unrolled
+    /// [`compress`] replaced: expand the whole `w[64]` schedule, then
+    /// shift the eight working variables every round. Kept as the
+    /// oracle for the unrolled one.
+    fn reference_compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+        let mut w = [0u32; 64];
+        for (i, chunk) in block.chunks_exact(4).enumerate() {
+            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        }
+        for i in 16..64 {
+            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+            w[i] = w[i - 16]
+                .wrapping_add(s0)
+                .wrapping_add(w[i - 7])
+                .wrapping_add(s1);
+        }
+
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+        for i in 0..64 {
+            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+            let ch = (e & f) ^ ((!e) & g);
+            let temp1 = h
+                .wrapping_add(s1)
+                .wrapping_add(ch)
+                .wrapping_add(K[i])
+                .wrapping_add(w[i]);
+            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+            let maj = (a & b) ^ (a & c) ^ (b & c);
+            let temp2 = s0.wrapping_add(maj);
+
+            h = g;
+            g = f;
+            f = e;
+            e = d.wrapping_add(temp1);
+            d = c;
+            c = b;
+            b = a;
+            a = temp1.wrapping_add(temp2);
+        }
+
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
+    }
+
+    /// One-shot SHA-256 over [`reference_compress`], padding the whole
+    /// message up front the textbook way.
+    fn reference_digest(data: &[u8]) -> Digest {
+        let mut msg = data.to_vec();
+        msg.push(0x80);
+        while msg.len() % BLOCK_LEN != BLOCK_LEN - 8 {
+            msg.push(0);
+        }
+        msg.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        for block in msg.chunks_exact(BLOCK_LEN) {
+            reference_compress(&mut state, block.try_into().unwrap());
+        }
+        let mut out = [0u8; DIGEST_LEN];
+        for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
+        }
+        Digest(out)
+    }
+
+    #[test]
+    fn reference_matches_fips_vectors() {
+        assert_eq!(
+            reference_digest(b"abc").to_hex(),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        );
+        assert_eq!(
+            reference_digest(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq").to_hex(),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The unrolled compression equals the reference from any
+        /// chaining state, not just the ones real messages reach.
+        #[test]
+        fn compress_matches_reference(seed in any::<[u8; 32]>(), block in any::<[u8; BLOCK_LEN]>()) {
+            let mut state = [0u32; 8];
+            for (word, bytes) in state.iter_mut().zip(seed.chunks_exact(4)) {
+                *word = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+            }
+            let (mut fast, mut slow) = (state, state);
+            compress(&mut fast, &block);
+            reference_compress(&mut slow, &block);
+            prop_assert_eq!(fast, slow);
+        }
+
+        /// The incremental hasher, fed in pieces split at random points,
+        /// equals the reference digest of the whole message.
+        #[test]
+        fn sha256_matches_reference(data in proptest::collection::vec(any::<u8>(), 0..=4096),
+                                    splits in proptest::collection::vec(any::<usize>(), 0..8)) {
+            let mut points: Vec<usize> = splits.into_iter().map(|s| s % (data.len() + 1)).collect();
+            points.sort_unstable();
+            let mut hasher = Sha256::new();
+            let mut cursor = 0;
+            for p in points {
+                hasher.update(&data[cursor..p]);
+                cursor = p;
+            }
+            hasher.update(&data[cursor..]);
+            prop_assert_eq!(hasher.finalize(), reference_digest(&data));
+        }
+    }
 
     fn hex(s: &str) -> Vec<u8> {
         (0..s.len())

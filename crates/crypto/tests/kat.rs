@@ -265,10 +265,10 @@ fn chacha20_rfc7539_sunscreen_encryption() {
 }
 
 // --------------------------------------------------------------------------
-// AEAD composition — pinned regression vector. The workspace's AEAD is
+// AEAD composition — pinned regression vectors. The workspace's AEAD is
 // ChaCha20 + HMAC-SHA-256 encrypt-then-MAC (not ChaCha20-Poly1305), so
-// no RFC vector exists; this pins the exact composition so the wire
-// format cannot drift silently.
+// no RFC vector exists; these pin the exact sealed bytes and tags so the
+// wire format cannot drift silently.
 
 #[test]
 fn aead_composition_is_stable() {
@@ -277,13 +277,44 @@ fn aead_composition_is_stable() {
     let sealed =
         aead::auth_encrypt_with_nonce(&key, &nonce, b"attack at dawn", b"lcm.kat").unwrap();
     // nonce (12) ‖ ciphertext (14) ‖ HMAC-SHA-256 tag (32).
-    assert_eq!(sealed.len(), 12 + 14 + 32);
-    assert_eq!(sealed[..12], nonce);
+    assert_eq!(
+        sealed,
+        unhex(
+            "242424242424242424242424\
+             8945f0fc713c502260b6018976bc\
+             8a7df1571a0c51e8119d118c3f96caa6\
+             06041ae102e31fc419cc7e1375862a16"
+        )
+    );
     assert_eq!(
         aead::auth_decrypt(&key, &sealed, b"lcm.kat").unwrap(),
         b"attack at dawn"
     );
-    // Self-consistency across calls: deterministic for a fixed nonce.
-    let again = aead::auth_encrypt_with_nonce(&key, &nonce, b"attack at dawn", b"lcm.kat").unwrap();
-    assert_eq!(sealed, again);
+}
+
+#[test]
+fn aead_golden_tags() {
+    let key = AeadKey::from_secret(&SecretKey::from_bytes([0x42u8; 32]));
+    let nonce = [0x24u8; 12];
+    let cases = [
+        (
+            0usize,
+            "800d95184229e6ffe56daea9ec3282ebaaeb1f013dde8a39b49db9e3d0acc072",
+        ),
+        (
+            145,
+            "5194c771fbb4bc0e0b3c3c3c3293d6c74c72302b05dcc7213ec3cf4301d3c08f",
+        ),
+        (
+            1000,
+            "fbc1883d055a4715c4d6b3d84f59a76f9d01bff3af1f5864f2cbfbc19a7877f2",
+        ),
+    ];
+    for (len, tag) in cases {
+        let plaintext: Vec<u8> = (0..len).map(|i| i as u8).collect();
+        let sealed =
+            aead::auth_encrypt_with_nonce(&key, &nonce, &plaintext, b"lcm.golden").unwrap();
+        assert_eq!(sealed.len(), 12 + len + 32);
+        assert_eq!(sealed[sealed.len() - 32..], unhex(tag), "{len}-byte tag");
+    }
 }

@@ -25,6 +25,7 @@
 
 use std::fmt;
 
+use lcm_crypto::ct;
 use lcm_crypto::hmac::hmac_sha256;
 use lcm_crypto::keys::SecretKey;
 use lcm_crypto::sha256::Digest;
@@ -250,7 +251,9 @@ impl QuoteVerifier {
         expected_user_data: &Digest,
     ) -> Result<()> {
         let sig = quote_signature(&self.group_secret, &quote.measurement, &quote.user_data);
-        if sig != quote.signature {
+        // The signature is a MAC tag: compare it without leaking, through
+        // timing, how many leading bytes a forgery got right.
+        if !ct::ct_eq(sig.as_bytes(), quote.signature.as_bytes()) {
             return Err(TeeError::AttestationFailed("group signature invalid"));
         }
         if &quote.measurement != expected {
